@@ -12,9 +12,7 @@ package neurogo
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -23,52 +21,6 @@ import (
 
 	"github.com/neurogo/neurogo/internal/experiments"
 )
-
-// benchJSONEnv names the file BenchmarkSystemThroughput's conv legs
-// append their headline rows to (BENCH_e5.json in CI); unset means no
-// emission. Rows accumulate across sub-benchmarks and are written once
-// after the run by writeBenchJSON (hooked into TestMain).
-const benchJSONEnv = "NEUROGO_BENCH_JSON"
-
-// benchE5Row is one conv-leg measurement in the emitted JSON.
-type benchE5Row struct {
-	Leg               string  `json:"leg"`
-	Batch             int     `json:"batch"`
-	ClassPerSec       float64 `json:"class_per_sec"`
-	InterChipFraction float64 `json:"interchip_frac"`
-	ExchangeWindow    int     `json:"exchange_window"` // 1 = lockstep; 0 = in-process (no exchange RPC)
-}
-
-var benchE5 struct {
-	mu   sync.Mutex
-	rows []benchE5Row
-}
-
-func benchE5Record(row benchE5Row) {
-	if os.Getenv(benchJSONEnv) == "" {
-		return
-	}
-	benchE5.mu.Lock()
-	benchE5.rows = append(benchE5.rows, row)
-	benchE5.mu.Unlock()
-}
-
-// writeBenchJSON dumps the collected rows to $NEUROGO_BENCH_JSON. Called
-// from TestMain after the run so a single `go test -bench` invocation
-// yields one complete file.
-func writeBenchJSON() {
-	path := os.Getenv(benchJSONEnv)
-	if path == "" || len(benchE5.rows) == 0 {
-		return
-	}
-	data, err := json.MarshalIndent(benchE5.rows, "", "  ")
-	if err == nil {
-		err = os.WriteFile(path, append(data, '\n'), 0o644)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench json:", err)
-	}
-}
 
 // benchExperiment runs one experiment per iteration and republishes its
 // metrics.
@@ -136,16 +88,13 @@ func BenchmarkE2System(b *testing.B) { benchExperiment(b, "E2") }
 func BenchmarkE3Boundary(b *testing.B) { benchExperiment(b, "E3") }
 
 // throughputRig caches one compiled digit classifier across the
-// pipeline throughput sub-benchmarks.
+// saturation and streaming sub-benchmarks.
 var throughputRig struct {
 	once    sync.Once
 	cls     *Classifier
 	mapping *Mapping
-	// sysMapping is the same network on an even grid, so it tiles
-	// exactly into the multi-chip benchmarks' 2x2 tile.
-	sysMapping *Mapping
-	x          [][]float64
-	err        error
+	x       [][]float64
+	err     error
 }
 
 func throughputSetup() error {
@@ -160,48 +109,13 @@ func throughputSetup() error {
 		net := NewNetwork()
 		throughputRig.cls = BuildClassifier(net, m.Ternarize(1.3), "digits", DefaultClassifierParams())
 		throughputRig.mapping, throughputRig.err = Compile(net, CompileOptions{Seed: 1})
-		if throughputRig.err != nil {
-			return
-		}
-		st := throughputRig.mapping.Stats
-		throughputRig.sysMapping, throughputRig.err = Compile(net, CompileOptions{
-			Seed: 1, Width: st.GridWidth + st.GridWidth%2, Height: st.GridHeight + st.GridHeight%2,
-		})
 		throughputRig.x, _ = gen.Batch(64)
 	})
 	return throughputRig.err
 }
 
-// BenchmarkPipelineThroughput measures served classifications/sec
-// through Pipeline.ClassifyBatch at batch sizes 1, 8 and 64 — the
-// serving-layer perf baseline for future scaling PRs. On a multi-core
-// host batch-64 must beat batch-1: larger batches keep the whole
-// session pool busy.
-func BenchmarkPipelineThroughput(b *testing.B) {
-	if err := throughputSetup(); err != nil {
-		b.Fatal(err)
-	}
-	for _, size := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("batch-%d", size), func(b *testing.B) {
-			p, err := throughputPipeline()
-			if err != nil {
-				b.Fatal(err)
-			}
-			inputs := throughputRig.x[:size]
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.ClassifyBatch(ctx, inputs); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.N*size)/b.Elapsed().Seconds(), "class/s")
-		})
-	}
-}
-
-// throughputPipeline builds the digit-serving pipeline the throughput
-// benchmarks share.
+// throughputPipeline builds the digit-serving pipeline the saturation
+// ladder serves.
 func throughputPipeline() (*Pipeline, error) {
 	return NewPipeline(throughputRig.mapping,
 		WithEncoder(NewBernoulliEncoder(0.5, 99)),
@@ -210,312 +124,6 @@ func throughputPipeline() (*Pipeline, error) {
 		WithClassMapper(throughputRig.cls.ClassOf),
 		WithWindow(16),
 		WithDrain(10))
-}
-
-// BenchmarkSystemThroughput measures served classifications/sec when
-// one logical model spans a multi-chip tile, at the same batch sizes
-// as BenchmarkPipelineThroughput, for a 1x1 tile (single chip through
-// the system backend) and a 2x2 tile. Each run also reports the
-// inter-chip spike fraction — the boundary-traffic metric the tiled
-// deployments of the paper are won or lost on — seeding the perf
-// trajectory for boundary-aware placement and sharding work.
-//
-// The flat digit classifier has no core-to-core edges (fraction 0 on
-// any tiling), so the boundary-aware legs serve a conv/pool/read-out
-// stack — a workload with real internal routing — compiled for the
-// same 2x2 tile twice: tiling-blind (λ=0) and boundary-aware (λ=4).
-// The aware leg must report a lower interchip-frac at equal class/s:
-// placement changes accounting, never routing work.
-func BenchmarkSystemThroughput(b *testing.B) {
-	if err := throughputSetup(); err != nil {
-		b.Fatal(err)
-	}
-	st := throughputRig.sysMapping.Stats
-	for _, tile := range []struct{ x, y int }{{1, 1}, {2, 2}} {
-		for _, size := range []int{1, 8, 64} {
-			b.Run(fmt.Sprintf("tile-%dx%d/batch-%d", tile.x, tile.y, size), func(b *testing.B) {
-				p, err := NewPipeline(throughputRig.sysMapping,
-					WithEncoder(NewBernoulliEncoder(0.5, 99)),
-					WithDecoder(NewCounterDecoder(NumDigitClasses)),
-					WithLineMapper(TwinLines(throughputRig.cls.LinesFor)),
-					WithClassMapper(throughputRig.cls.ClassOf),
-					WithWindow(16),
-					WithDrain(10),
-					WithSystem(st.GridWidth/tile.x, st.GridHeight/tile.y))
-				if err != nil {
-					b.Fatal(err)
-				}
-				inputs := throughputRig.x[:size]
-				ctx := context.Background()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := p.ClassifyBatch(ctx, inputs); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(b.N*size)/b.Elapsed().Seconds(), "class/s")
-				b.ReportMetric(PipelineTrafficOf(p).InterChipFraction, "interchip-frac")
-			})
-		}
-	}
-	if err := boundarySetup(); err != nil {
-		b.Fatal(err)
-	}
-	for _, leg := range []struct {
-		name string
-		mp   *Mapping
-	}{
-		{"blind", boundaryRig.blind},
-		{"aware", boundaryRig.aware},
-	} {
-		for _, size := range []int{1, 8, 64} {
-			b.Run(fmt.Sprintf("conv-2x2-%s/batch-%d", leg.name, size), func(b *testing.B) {
-				p, err := NewPipeline(leg.mp,
-					WithEncoder(NewBinaryEncoder(0.5, boundaryWindow)),
-					WithDecoder(NewCounterDecoder(NumDigitClasses)),
-					WithLineMapper(TwinLines(boundaryRig.conv.LinesFor)),
-					WithClassMapper(boundaryRig.fc.ClassOf),
-					WithWindow(boundaryWindow),
-					WithDrain(12),
-					WithSystem(boundaryRig.chipX, boundaryRig.chipY))
-				if err != nil {
-					b.Fatal(err)
-				}
-				inputs := boundaryRig.x[:size]
-				ctx := context.Background()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := p.ClassifyBatch(ctx, inputs); err != nil {
-						b.Fatal(err)
-					}
-				}
-				bt := PipelineTrafficOf(p)
-				rate := float64(b.N*size) / b.Elapsed().Seconds()
-				b.ReportMetric(rate, "class/s")
-				b.ReportMetric(bt.InterChipFraction, "interchip-frac")
-				b.ReportMetric(bt.PredictedInterChipFraction, "predicted-frac")
-				benchE5Record(benchE5Row{Leg: "conv-2x2-" + leg.name, Batch: size,
-					ClassPerSec: rate, InterChipFraction: bt.InterChipFraction})
-			})
-		}
-	}
-	// Distributed legs: the conv stack served across two real shard
-	// server processes (re-execs of this test binary over unix sockets;
-	// see spawnShardProcs in remote_test.go). The lockstep leg pays one
-	// RPC round-trip per tick per shard on the boundary-aware mapping;
-	// the windowed leg serves the delay-padded twin mapping at the
-	// widest exchange window its delay structure proves exact,
-	// amortizing that round-trip over the whole window. Both are
-	// bit-identical to the in-process backend on their own mapping.
-	for _, leg := range []struct {
-		name     string
-		mp       *Mapping
-		exchange int // WithExchangeWindow argument; 0 selects the proven max
-	}{
-		{"remote", boundaryRig.aware, 1},
-		{"remote-windowed", boundaryRig.windowed, 0},
-	} {
-		window := leg.exchange
-		if window == 0 {
-			window = MaxExchangeWindow(leg.mp)
-		}
-		for _, size := range []int{1, 8, 64} {
-			b.Run(fmt.Sprintf("conv-2x2-%s/batch-%d", leg.name, size), func(b *testing.B) {
-				addrs := spawnShardProcs(b, leg.mp, 2)
-				p, err := NewPipeline(leg.mp,
-					WithEncoder(NewBinaryEncoder(0.5, boundaryWindow)),
-					WithDecoder(NewCounterDecoder(NumDigitClasses)),
-					WithLineMapper(TwinLines(boundaryRig.conv.LinesFor)),
-					WithClassMapper(boundaryRig.fc.ClassOf),
-					WithWindow(boundaryWindow),
-					WithDrain(12),
-					WithRemoteSystem(addrs...),
-					WithExchangeWindow(leg.exchange))
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer p.Close()
-				inputs := boundaryRig.x[:size]
-				ctx := context.Background()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := p.ClassifyBatch(ctx, inputs); err != nil {
-						b.Fatal(err)
-					}
-				}
-				bt := PipelineTrafficOf(p)
-				rate := float64(b.N*size) / b.Elapsed().Seconds()
-				b.ReportMetric(rate, "class/s")
-				b.ReportMetric(bt.InterChipFraction, "interchip-frac")
-				b.ReportMetric(float64(bt.InterChip)/float64(b.N), "inter-spikes/op")
-				b.ReportMetric(float64(window), "xchg-window")
-				benchE5Record(benchE5Row{Leg: "conv-2x2-" + leg.name, Batch: size,
-					ClassPerSec: rate, InterChipFraction: bt.InterChipFraction,
-					ExchangeWindow: window})
-			})
-		}
-	}
-}
-
-// boundaryWindow is the held-binary presentation length of the conv
-// legs (coincidence-thresholded conv features need the whole patch
-// present each tick, as E1 deploys).
-const boundaryWindow = 8
-
-// boundaryRig caches the routed conv/pool/read-out workload compiled
-// for a 2x2 chip tile three ways: tiling-blind (λ=0, bit-identical to
-// an untiled compile), boundary-aware (λ=4), and windowed (λ=4 plus a
-// delay penalty that prices delay-1 chip crossings out of the
-// placement, unlocking multi-tick exchange windows for the remote
-// legs).
-var boundaryRig struct {
-	once                   sync.Once
-	conv                   *Conv2D
-	fc                     *FeatureClassifier
-	blind, aware, windowed *Mapping
-	chipX, chipY           int
-	x                      [][]float64
-	err                    error
-}
-
-func boundarySetup() error {
-	boundaryRig.once.Do(func() {
-		fail := func(err error) { boundaryRig.err = err }
-		const (
-			imgSize = 16
-			stride  = 1
-			convThr = 2
-			poolWin = 2
-		)
-		gen := NewDigitGenerator(imgSize, 0.02, 2, 42)
-		xtr, ytr := gen.Batch(400)
-		kernels := OrientedKernels()
-		convW := (imgSize-kernels[0].Size)/stride + 1
-		feat := make([][]float64, len(xtr))
-		for i, img := range xtr {
-			f := ConvFeatures(img, imgSize, kernels, stride, convThr)
-			feat[i] = FloatPool(f, len(kernels), convW, convW, poolWin)
-		}
-		m, err := TrainLinear(feat, ytr, NumDigitClasses, TrainOptions{Epochs: 8, Seed: 7})
-		if err != nil {
-			fail(err)
-			return
-		}
-		net := NewNetwork()
-		conv, err := BuildConv2D(net, "conv", imgSize, imgSize, kernels, stride, convThr)
-		if err != nil {
-			fail(err)
-			return
-		}
-		pool, err := BuildPool2D(net, conv, "pool", poolWin)
-		if err != nil {
-			fail(err)
-			return
-		}
-		fc, err := BuildFeatureClassifier(net, m.Ternarize(1.3), pool, "out", DefaultClassifierParams())
-		if err != nil {
-			fail(err)
-			return
-		}
-		boundaryRig.conv, boundaryRig.fc = conv, fc
-		// Probe compile to learn the grid, then force an even grid that
-		// splits into a 2x2 chip tile and compile both placements for it.
-		probe, err := Compile(net, CompileOptions{Seed: 1})
-		if err != nil {
-			fail(err)
-			return
-		}
-		st := probe.Stats
-		w, h := st.GridWidth+st.GridWidth%2, st.GridHeight+st.GridHeight%2
-		boundaryRig.chipX, boundaryRig.chipY = w/2, h/2
-		// Anneal both placements: the annealer optimises the combined
-		// objective directly, so the λ legs differ only in λ.
-		tiled := CompileOptions{Placer: PlacerAnneal, AnnealIters: 30000,
-			Seed: 1, Width: w, Height: h,
-			ChipCoresX: boundaryRig.chipX, ChipCoresY: boundaryRig.chipY}
-		boundaryRig.blind, err = Compile(net, tiled)
-		if err != nil {
-			fail(err)
-			return
-		}
-		tiled.BoundaryWeight = 4
-		boundaryRig.aware, err = Compile(net, tiled)
-		if err != nil {
-			fail(err)
-			return
-		}
-		// Windowed variant: same corelets on a twin network with delays
-		// padded to 5 ticks (neuron ids are identical, so the blind/aware
-		// line and class mappers apply unchanged), compiled delay-aware.
-		// Padding plus splitter re-homing leaves no boundary edge under 5
-		// ticks of slack minus the relay leg — MinBoundaryDelay 4, so the
-		// distributed driver may run 4-tick exchange windows.
-		wnet := NewNetwork()
-		wconv, err := BuildConv2D(wnet, "conv", imgSize, imgSize, kernels, stride, convThr)
-		if err != nil {
-			fail(err)
-			return
-		}
-		wpool, err := BuildPool2D(wnet, wconv, "pool", poolWin)
-		if err != nil {
-			fail(err)
-			return
-		}
-		if _, err := BuildFeatureClassifier(wnet, m.Ternarize(1.3), wpool, "out", DefaultClassifierParams()); err != nil {
-			fail(err)
-			return
-		}
-		wnet.PadNeuronDelays(5)
-		wtiled := tiled
-		wtiled.Seed = 2
-		wtiled.DelayPenalty = 8
-		boundaryRig.windowed, err = Compile(wnet, wtiled)
-		if err != nil {
-			fail(err)
-			return
-		}
-		boundaryRig.x, _ = gen.Batch(64)
-	})
-	return boundaryRig.err
-}
-
-// BenchmarkAsyncThroughput measures served classifications/sec through
-// the channel-based AsyncPipeline at the same batch sizes as
-// BenchmarkPipelineThroughput, so the two report directly comparable
-// class/s figures: each iteration submits `size` requests and waits for
-// all completions via the per-request channels.
-func BenchmarkAsyncThroughput(b *testing.B) {
-	if err := throughputSetup(); err != nil {
-		b.Fatal(err)
-	}
-	for _, size := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("batch-%d", size), func(b *testing.B) {
-			p, err := throughputPipeline()
-			if err != nil {
-				b.Fatal(err)
-			}
-			ap, err := p.Async(WithQueueDepth(2 * size))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer ap.Close()
-			inputs := throughputRig.x[:size]
-			ctx := context.Background()
-			chans := make([]<-chan AsyncResult, size)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j, img := range inputs {
-					chans[j] = ap.Submit(ctx, img)
-				}
-				for _, ch := range chans {
-					if r := <-ch; r.Err != nil {
-						b.Fatal(r.Err)
-					}
-				}
-			}
-			b.ReportMetric(float64(b.N*size)/b.Elapsed().Seconds(), "class/s")
-		})
-	}
 }
 
 // saturationBase caches the sequential service rate (class/s on one
@@ -688,9 +296,8 @@ func streamingPipeline(window int) (*Pipeline, error) {
 // reset, gated decisions drained from the Decisions channel — and the
 // reset leg serves the same images present-reset-present (a fresh
 // stream per image, the bounded-presentation idiom), so the cost of
-// session turnover is the gap between them. The keyword leg runs the
-// pattern-detector spotting workload end to end and reports detection
-// latency in ticks from each embedding's ground-truth end.
+// session turnover is the gap between them. The keyword-spotting
+// stream is the ledger's keyword_stream workload (bench/).
 func BenchmarkStreamingThroughput(b *testing.B) {
 	if err := throughputSetup(); err != nil {
 		b.Fatal(err)
@@ -763,80 +370,5 @@ func BenchmarkStreamingThroughput(b *testing.B) {
 		b.ReportMetric(float64(b.N*(w+drain))/b.Elapsed().Seconds(), "ticks/s")
 		b.ReportMetric(float64(decisions)/b.Elapsed().Seconds(), "dec/s")
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "img/s")
-	})
-
-	b.Run("keyword-latency", func(b *testing.B) {
-		pat := NewPattern(16, 10, 5, 99)
-		net := NewNetwork()
-		pd, err := BuildPatternDetector(net, pat, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mapping, err := Compile(net, CompileOptions{Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		dec := NewSlidingCounterDecoder(1, 2)
-		dec.MinCount = 1
-		p, err := NewPipeline(mapping,
-			WithDecoder(dec),
-			WithClassMapper(func(id NeuronID) int {
-				if id == pd.Out.First {
-					return 0
-				}
-				return -1
-			}))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer p.Close()
-		motifs := NewMotifStream(pat, 0.02, 20, 60, 7)
-		st := p.NewSession().Stream(ctx)
-		decCh := st.Decisions()
-		var decTicks []int64
-		done := make(chan struct{})
-		go func() {
-			for d := range decCh {
-				decTicks = append(decTicks, d.Tick)
-			}
-			close(done)
-		}()
-		var ends []int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ { // one iteration = one stream tick
-			spikes, motifEnd := motifs.Tick()
-			for _, line := range spikes {
-				if err := st.Inject(pd.In.First + int32(line)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if _, err := st.Tick(); err != nil {
-				b.Fatal(err)
-			}
-			if motifEnd {
-				ends = append(ends, int64(i))
-			}
-		}
-		if _, err := st.Drain(); err != nil {
-			b.Fatal(err)
-		}
-		<-done
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ticks/s")
-		b.ReportMetric(float64(len(decTicks))/b.Elapsed().Seconds(), "dec/s")
-		// First gated decision at or after each embedding's end tick.
-		matched, latencySum := 0, int64(0)
-		di := 0
-		for _, end := range ends {
-			for di < len(decTicks) && decTicks[di] < end {
-				di++
-			}
-			if di < len(decTicks) && decTicks[di] <= end+int64(pat.Span) {
-				matched++
-				latencySum += decTicks[di] - end
-			}
-		}
-		if matched > 0 {
-			b.ReportMetric(float64(latencySum)/float64(matched), "latency-ticks")
-		}
 	})
 }

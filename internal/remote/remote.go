@@ -48,11 +48,13 @@ import (
 	"fmt"
 	"net"
 	"net/rpc"
+	"runtime"
 	"sync"
 	"time"
 
 	"github.com/neurogo/neurogo/internal/chip"
 	"github.com/neurogo/neurogo/internal/compile"
+	"github.com/neurogo/neurogo/internal/core"
 	"github.com/neurogo/neurogo/internal/system"
 )
 
@@ -246,18 +248,37 @@ func (s *shardService) Handshake(args HandshakeArgs, reply *HandshakeReply) erro
 	return nil
 }
 
+// checkTickN validates the client-controlled fields of a window request
+// before anything touches the shard, so a rejected call mutates
+// nothing, and clamps Workers to [1, runtime.NumCPU()] as the local
+// Runner does. A window never exceeds the delay ring even when no chip
+// crossing bounds it (window 0); sim.MaxExchangeWindow stays within
+// that ring, so no legal client is refused.
+func (s *shardService) checkTickN(args *TickNArgs) error {
+	if now := s.shard.Now(); args.Seq != now {
+		return fmt.Errorf("remote: lockstep broken: client at tick %d, shard at %d", args.Seq, now)
+	}
+	if args.N < 1 || args.N > core.RingSlots {
+		return fmt.Errorf("remote: execution window of %d ticks outside [1,%d]", args.N, core.RingSlots)
+	}
+	if s.window > 0 && args.N > s.window {
+		return fmt.Errorf("remote: %d-tick window exceeds the mapping's %d-tick exchange bound", args.N, s.window)
+	}
+	switch args.Mode {
+	case system.EvalEvent, system.EvalDense, system.EvalParallel:
+	default:
+		return fmt.Errorf("remote: unknown evaluation mode %v", args.Mode)
+	}
+	args.Workers = min(max(args.Workers, 1), runtime.NumCPU())
+	return nil
+}
+
 // TickN implements the per-window round-trip.
 func (s *shardService) TickN(args TickNArgs, reply *TickNReply) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if now := s.shard.Now(); args.Seq != now {
-		return fmt.Errorf("remote: lockstep broken: client at tick %d, shard at %d", args.Seq, now)
-	}
-	if args.N < 1 {
-		return fmt.Errorf("remote: execution window of %d ticks", args.N)
-	}
-	if s.window > 0 && args.N > s.window {
-		return fmt.Errorf("remote: %d-tick window exceeds the mapping's %d-tick exchange bound", args.N, s.window)
+	if err := s.checkTickN(&args); err != nil {
+		return err
 	}
 	for i := 0; i+1 < len(args.Injections); i += 2 {
 		w := args.Injections[i+1]

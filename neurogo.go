@@ -305,8 +305,9 @@ func WithSystem(chipCoresX, chipCoresY int) PipelineOption {
 
 // WithRemoteSystem serves the model across shard processes (see
 // cmd/nshard): the tile's chips partitioned over the given addresses,
-// driven in lockstep with one RPC round-trip per tick, bit-identical
-// to the in-process backends. The mapping must be tiled-compiled
+// with one RPC round-trip per shard per exchange window (one tick
+// unless WithExchangeWindow widens it), bit-identical to the
+// in-process backends. The mapping must be tiled-compiled
 // (CompileOptions.ChipCoresX/Y). Remote pipelines are single-lane —
 // the shard processes hold one model state. Shard failures surface as
 // errors matching ErrShardDown, never hangs.

@@ -34,9 +34,7 @@ func TestMain(m *testing.M) {
 		}
 		os.Exit(0)
 	}
-	code := m.Run()
-	writeBenchJSON() // BENCH_e5.json emission, gated on NEUROGO_BENCH_JSON
-	os.Exit(code)
+	os.Exit(m.Run())
 }
 
 // serveShardFromEnv is the child-process body: load the exported
@@ -127,22 +125,86 @@ func spawnShardProcs(tb testing.TB, m *Mapping, shards int) []string {
 	return addrs
 }
 
-// driveStack presents digit images to the conv stack exactly as the
-// serving pipeline's binary encoder does — each on-pixel's twin lines
-// injected on every tick of the hold window, then a drain — and
-// returns the full output event stream.
-func driveStack(t *testing.T, r *Runner, images [][]float64) []Event {
+// convStackWindow is the held-binary presentation length of the conv
+// stack (coincidence-thresholded conv features need the whole patch
+// present each tick, as E1 deploys).
+const convStackWindow = 8
+
+// convStack is the routed conv/pool/read-out workload compiled for a
+// 2x2 chip tile by the boundary-aware annealer (λ=4), plus the images
+// presented to it.
+type convStack struct {
+	conv    *Conv2D
+	mapping *Mapping
+	images  [][]float64
+}
+
+func buildConvStack(t *testing.T) *convStack {
+	t.Helper()
+	const (
+		imgSize = 16
+		stride  = 1
+		convThr = 2
+		poolWin = 2
+	)
+	gen := NewDigitGenerator(imgSize, 0.02, 2, 42)
+	xtr, ytr := gen.Batch(400)
+	kernels := OrientedKernels()
+	convW := (imgSize-kernels[0].Size)/stride + 1
+	feat := make([][]float64, len(xtr))
+	for i, img := range xtr {
+		f := ConvFeatures(img, imgSize, kernels, stride, convThr)
+		feat[i] = FloatPool(f, len(kernels), convW, convW, poolWin)
+	}
+	m, err := TrainLinear(feat, ytr, NumDigitClasses, TrainOptions{Epochs: 8, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := NewNetwork()
+	conv, err := BuildConv2D(net, "conv", imgSize, imgSize, kernels, stride, convThr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := BuildPool2D(net, conv, "pool", poolWin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BuildFeatureClassifier(net, m.Ternarize(1.3), pool, "out", DefaultClassifierParams()); err != nil {
+		t.Fatal(err)
+	}
+	// Probe compile to learn the grid, then force an even grid that
+	// splits into a 2x2 chip tile.
+	probe, err := Compile(net, CompileOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := probe.Stats
+	w, h := st.GridWidth+st.GridWidth%2, st.GridHeight+st.GridHeight%2
+	mp, err := Compile(net, CompileOptions{Placer: PlacerAnneal, AnnealIters: 30000,
+		Seed: 1, Width: w, Height: h, ChipCoresX: w / 2, ChipCoresY: h / 2, BoundaryWeight: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	images, _ := gen.Batch(3)
+	return &convStack{conv: conv, mapping: mp, images: images}
+}
+
+// driveStack presents the stack's images exactly as the serving
+// pipeline's binary encoder does — each on-pixel's twin lines injected
+// on every tick of the hold window, then a drain — and returns the full
+// output event stream.
+func driveStack(t *testing.T, r *Runner, cs *convStack) []Event {
 	t.Helper()
 	var events []Event
-	for _, img := range images {
+	for _, img := range cs.images {
 		var lines []int32
 		for p, v := range img {
 			if v > 0.5 {
-				pos, neg := boundaryRig.conv.LinesFor(p)
+				pos, neg := cs.conv.LinesFor(p)
 				lines = append(lines, pos, neg)
 			}
 		}
-		for tick := 0; tick < boundaryWindow; tick++ {
+		for tick := 0; tick < convStackWindow; tick++ {
 			for _, line := range lines {
 				if err := r.InjectLine(line); err != nil {
 					t.Fatal(err)
@@ -167,18 +229,15 @@ func TestDistributedConvStack(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns shard processes")
 	}
-	if err := boundarySetup(); err != nil {
-		t.Fatal(err)
-	}
-	mp := boundaryRig.aware
-	cfg := SystemConfig{ChipCoresX: boundaryRig.chipX, ChipCoresY: boundaryRig.chipY}
+	cs := buildConvStack(t)
+	mp := cs.mapping
+	cfg := SystemConfig{ChipCoresX: mp.Stats.ChipCoresX, ChipCoresY: mp.Stats.ChipCoresY}
 
 	sysR, err := NewSystemRunner(mp, cfg, EngineEvent, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	images := boundaryRig.x[:3]
-	want := driveStack(t, sysR, images)
+	want := driveStack(t, sysR, cs)
 	if len(want) == 0 {
 		t.Fatal("conv stack emitted nothing; test is vacuous")
 	}
@@ -193,7 +252,7 @@ func TestDistributedConvStack(t *testing.T) {
 		t.Fatal(err)
 	}
 	remR := sim.NewTiledRunner(mp, shd, sim.EngineEvent, 1)
-	got := driveStack(t, remR, images)
+	got := driveStack(t, remR, cs)
 
 	if len(got) != len(want) {
 		t.Fatalf("distributed stack: %d events, in-process %d", len(got), len(want))
