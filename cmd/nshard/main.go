@@ -27,7 +27,6 @@ import (
 	"os"
 	"strings"
 
-	"github.com/neurogo/neurogo/internal/chip"
 	"github.com/neurogo/neurogo/internal/compile"
 	"github.com/neurogo/neurogo/internal/remote"
 	"github.com/neurogo/neurogo/internal/system"
@@ -39,7 +38,6 @@ func main() {
 		mapping = flag.String("mapping", "", "path to the tiled-compiled mapping file (see nsim -save-mapping; required)")
 		shards  = flag.Int("shards", 1, "total shard count of the partition")
 		shard   = flag.Int("shard", 0, "this process's shard index (0-based)")
-		noPlan  = flag.Bool("noplan", false, "force the legacy scalar core path (disable precompiled integration plans)")
 	)
 	flag.Parse()
 	if *listen == "" || *mapping == "" {
@@ -47,13 +45,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*listen, *mapping, *shards, *shard, *noPlan); err != nil {
+	if err := run(*listen, *mapping, *shards, *shard); err != nil {
 		fmt.Fprintln(os.Stderr, "nshard:", err)
 		os.Exit(1)
 	}
 }
 
-func run(listen, mappingPath string, shards, shard int, noPlan bool) error {
+func run(listen, mappingPath string, shards, shard int) error {
 	f, err := os.Open(mappingPath)
 	if err != nil {
 		return err
@@ -68,7 +66,7 @@ func run(listen, mappingPath string, shards, shard int, noPlan bool) error {
 		return fmt.Errorf("mapping %s is not tiled-compiled (no chip dimensions recorded); recompile with -chips", mappingPath)
 	}
 	cfg := system.Config{ChipCoresX: st.ChipCoresX, ChipCoresY: st.ChipCoresY}
-	srv, err := remote.NewServer(m, cfg, shards, shard, chip.Options{NoPlan: noPlan})
+	srv, err := remote.NewServer(m, cfg, shards, shard)
 	if err != nil {
 		return err
 	}

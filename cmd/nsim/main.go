@@ -6,7 +6,7 @@
 // Usage:
 //
 //	nsim -spec net.json
-//	nsim -spec net.json -engine dense -ticks 200
+//	nsim -spec net.json -engine parallel -ticks 200
 //	nsim -spec net.json -chips 2x2              # serve across a 2x2 multi-chip tile
 //	nsim -spec net.json -chips 2x2 -boundary 4  # boundary-aware placement, λ=4
 //	nsim -spec net.json -chips 2x2 -save-mapping net.nmap   # export for nshard
@@ -44,13 +44,12 @@ import (
 func main() {
 	var (
 		specPath = flag.String("spec", "", "path to the JSON network spec (required)")
-		engine   = flag.String("engine", "event", "core engine: event, dense or parallel")
+		engine   = flag.String("engine", "event", "core engine: event or parallel")
 		workers  = flag.Int("workers", 2, "goroutines for the parallel engine")
 		ticks    = flag.Int("ticks", 0, "override the spec's simulation length")
 		raster   = flag.Bool("raster", true, "print an output raster")
 		chips    = flag.String("chips", "", "tile the compiled grid across WxH physical chips (e.g. 2x2) and report boundary traffic")
 		boundary = flag.Float64("boundary", 1, "boundary weight λ for the tile-aware recompile (with -chips; 0 keeps the tiling-blind placement)")
-		noPlan   = flag.Bool("noplan", false, "force the legacy scalar core path (disable precompiled integration plans) for A/B debugging")
 		saveMap  = flag.String("save-mapping", "", "write the compiled mapping to this file (for nshard) and exit without simulating")
 		remoteAt = flag.String("remote", "", "comma-separated shard addresses (see cmd/nshard); serves the tiled model across those processes (requires -chips)")
 		xwindow  = flag.Int("xwindow", 1, "exchange window: ticks per boundary exchange (per RPC round-trip with -remote); 0 = widest window the mapping proves exact")
@@ -71,7 +70,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nsim: -remote needs -chips (the shards serve a tiled-compiled mapping)")
 		os.Exit(2)
 	}
-	if err := run(*specPath, *engine, *workers, *ticks, *raster, *chips, *boundary, *noPlan, *saveMap, *remoteAt, *xwindow); err != nil {
+	if err := run(*specPath, *engine, *workers, *ticks, *raster, *chips, *boundary, *saveMap, *remoteAt, *xwindow); err != nil {
 		fmt.Fprintln(os.Stderr, "nsim:", err)
 		os.Exit(1)
 	}
@@ -90,7 +89,7 @@ func parseChips(s string) (w, h int, err error) {
 	return 0, 0, fmt.Errorf("invalid -chips %q (want WxH, e.g. 2x2)", s)
 }
 
-func run(specPath, engineName string, workers, ticksOverride int, raster bool, chips string, boundary float64, noPlan bool, saveMap, remoteAt string, xwindow int) error {
+func run(specPath, engineName string, workers, ticksOverride int, raster bool, chips string, boundary float64, saveMap, remoteAt string, xwindow int) error {
 	data, err := os.ReadFile(specPath)
 	if err != nil {
 		return err
@@ -111,8 +110,6 @@ func run(specPath, engineName string, workers, ticksOverride int, raster bool, c
 	switch engineName {
 	case "event":
 		eng = neurogo.EngineEvent
-	case "dense":
-		eng = neurogo.EngineDense
 	case "parallel":
 		eng = neurogo.EngineParallel
 	default:
@@ -128,10 +125,6 @@ func run(specPath, engineName string, workers, ticksOverride int, raster bool, c
 		neurogo.WithEngine(eng),
 		neurogo.WithEngineWorkers(workers),
 		neurogo.WithDrain(4),
-	}
-	if noPlan {
-		opts = append(opts, neurogo.WithoutPlan())
-		fmt.Println("integration plans disabled (-noplan): legacy scalar core path")
 	}
 	if xwindow != 1 {
 		opts = append(opts, neurogo.WithExchangeWindow(xwindow))
@@ -259,11 +252,6 @@ func run(specPath, engineName string, workers, ticksOverride int, raster bool, c
 	rep := neurogo.DefaultEnergyCoefficients().Evaluate(u)
 	tb := report.NewTable("activity and energy", "quantity", "value")
 	st = built.Mapping.Stats
-	if noPlan {
-		tb.AddRow("core path", "scalar (-noplan)")
-	} else {
-		tb.AddRow("core path", "integration plan")
-	}
 	tb.AddRow("fast-path neuron coverage", report.F(st.DeterministicFraction))
 	tb.AddRow("ticks", report.I(int64(u.Ticks)))
 	tb.AddRow("synaptic events", report.I(int64(u.SynapticEvents)))

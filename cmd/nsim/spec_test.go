@@ -99,19 +99,20 @@ func TestInjectionsAtRepeats(t *testing.T) {
 }
 
 func TestRunPulseSpecEndToEnd(t *testing.T) {
-	// The shipped example spec must execute cleanly under every engine.
+	// The shipped example spec must execute cleanly under every engine;
+	// the clock-driven baseline is a chip-level oracle, not an engine.
 	path := "../../examples/specs/pulse.json"
 	if _, err := os.Stat(path); err != nil {
 		t.Skip("example spec not present")
 	}
-	for _, eng := range []string{"event", "dense", "parallel"} {
-		if err := run(path, eng, 2, 0, false, "", 1, false, "", "", 1); err != nil {
+	for _, eng := range []string{"event", "parallel"} {
+		if err := run(path, eng, 2, 0, false, "", 1, "", "", 1); err != nil {
 			t.Fatalf("engine %s: %v", eng, err)
 		}
 	}
-	// And once over the -noplan scalar escape hatch.
-	if err := run(path, "event", 2, 0, false, "", 1, true, "", "", 1); err != nil {
-		t.Fatalf("-noplan: %v", err)
+	err := run(path, "dense", 2, 0, false, "", 1, "", "", 1)
+	if err == nil || !strings.Contains(err.Error(), "unknown engine") {
+		t.Fatalf("-engine dense: error %v, want unknown engine", err)
 	}
 }
 
@@ -122,10 +123,10 @@ func TestRunPulseSpecTiled(t *testing.T) {
 	if _, err := os.Stat(path); err != nil {
 		t.Skip("example spec not present")
 	}
-	if err := run(path, "event", 1, 0, false, "1x1", 1, false, "", "", 1); err != nil {
+	if err := run(path, "event", 1, 0, false, "1x1", 1, "", "", 1); err != nil {
 		t.Fatalf("tiled run: %v", err)
 	}
-	if err := run(path, "event", 1, 0, false, "wat", 1, false, "", "", 1); err == nil {
+	if err := run(path, "event", 1, 0, false, "wat", 1, "", "", 1); err == nil {
 		t.Fatal("invalid -chips accepted")
 	}
 }
@@ -184,16 +185,13 @@ func TestRunTiledBoundarySpec(t *testing.T) {
 	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(path, "event", 1, 0, false, "2x1", 4, false, "", "", 1); err != nil {
+	if err := run(path, "event", 1, 0, false, "2x1", 4, "", "", 1); err != nil {
 		t.Fatalf("boundary-aware tiled run: %v", err)
 	}
-	if err := run(path, "event", 1, 0, false, "", 1, true, "", "", 1); err != nil {
-		t.Fatalf("-noplan run: %v", err)
-	}
-	if err := run(path, "event", 1, 0, false, "2x1", 0, false, "", "", 1); err != nil {
+	if err := run(path, "event", 1, 0, false, "2x1", 0, "", "", 1); err != nil {
 		t.Fatalf("tiling-blind tiled run: %v", err)
 	}
-	if err := run(path, "event", 1, 0, false, "3x2", 1, false, "", "", 1); err == nil {
+	if err := run(path, "event", 1, 0, false, "3x2", 1, "", "", 1); err == nil {
 		t.Fatal("tile not dividing the grid accepted")
 	}
 }

@@ -7,7 +7,7 @@
 // monitoring goroutine. The async front-end runs the full SLO-aware
 // configuration: adaptive micro-batching, priority admission (a
 // low-priority flood is shed with ErrShed while interactive traffic
-// is untouched), serving metrics on an expvar /debug/vars endpoint,
+// is untouched), serving metrics on a Prometheus /metrics endpoint,
 // and a graceful SIGINT shutdown that drains every admitted request.
 // The same inputs are also served through ClassifyBatch so the two
 // serving modes' throughput and (bit-identical) predictions can be
@@ -33,9 +33,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"log"
@@ -111,7 +109,7 @@ func main() {
 	// micro-batching (up to 16 requests per dispatch, 200µs window),
 	// priority admission with an SLO budget that sheds low-priority
 	// work under pressure, and the serving metrics published at a
-	// /debug/vars endpoint. The Results stream plays the serving-side
+	// /metrics endpoint. The Results stream plays the serving-side
 	// monitor (subscribe before the first Submit); each client keeps its
 	// per-request channels, so completions correlate with inputs no
 	// matter how submissions interleave across clients.
@@ -127,12 +125,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Tail-latency observability: expvar publishes the live metrics
-	// snapshot, net/http/pprof-style, on a loopback /debug/vars.
-	expvar.Publish("serving", expvar.Func(func() any { return ap.Metrics() }))
-	// The same snapshot in Prometheus text format on /metrics — serving
-	// counters, gauges and latency summaries, plus the registry's
-	// per-model block once the multi-model leg installs one.
+	// Tail-latency observability: the live metrics snapshot in
+	// Prometheus text format on a loopback /metrics — serving counters,
+	// gauges and latency summaries, plus the registry's per-model block
+	// once the multi-model leg installs one.
 	http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		ap.Metrics().WritePrometheus(w)
@@ -212,9 +208,7 @@ func main() {
 		}
 	}
 
-	// Scrape both endpoints while the pool is still live: the JSON
-	// expvar snapshot and its Prometheus twin.
-	vars := scrapeServingVars(fmt.Sprintf("http://%s/debug/vars", lis.Addr()))
+	// Scrape the endpoint while the pool is still live.
 	metricsURL := fmt.Sprintf("http://%s/metrics", lis.Addr())
 	prom := scrapeMetrics(metricsURL, "neurogo_serving_")
 
@@ -256,7 +250,6 @@ func main() {
 		met.EndToEnd.P50.Round(time.Microsecond), met.EndToEnd.P99.Round(time.Microsecond))
 	fmt.Printf("low-priority flood: %d submitted, %d served, %d shed (ErrShed; high/normal never shed)\n",
 		flood, floodServed, shed)
-	fmt.Println(vars)
 	fmt.Println(prom)
 	dropped := int(met.Submitted) - served
 	fmt.Printf("graceful shutdown: SIGINT received, pool drained — %d admitted, %d dropped\n",
@@ -391,36 +384,6 @@ func main() {
 // promRegistry is the registry the /metrics handler appends per-model
 // families for, once the multi-model leg has created one.
 var promRegistry atomic.Pointer[neurogo.Registry]
-
-// scrapeServingVars GETs the expvar endpoint and condenses the
-// published "serving" metrics into one report line — the same JSON a
-// dashboard would poll.
-func scrapeServingVars(url string) string {
-	resp, err := http.Get(url)
-	if err != nil {
-		return fmt.Sprintf("expvar scrape failed: %v", err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return fmt.Sprintf("expvar scrape failed: %v", err)
-	}
-	var vars struct {
-		Serving struct {
-			Submitted uint64
-			Completed uint64
-			Shed      uint64
-			MeanBatch float64
-			EndToEnd  struct{ P99 time.Duration }
-		} `json:"serving"`
-	}
-	if err := json.Unmarshal(body, &vars); err != nil {
-		return fmt.Sprintf("expvar decode failed: %v", err)
-	}
-	s := vars.Serving
-	return fmt.Sprintf("expvar %s: submitted %d, completed %d, shed %d, mean batch %.1f, e2e p99 %v",
-		url, s.Submitted, s.Completed, s.Shed, s.MeanBatch, s.EndToEnd.P99.Round(time.Microsecond))
-}
 
 // scrapeMetrics GETs the Prometheus endpoint and condenses the
 // families matching prefix into one report line — the same text

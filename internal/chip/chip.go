@@ -12,6 +12,12 @@
 // Functional routing delivers spikes directly and accounts Manhattan hop
 // counts for the energy model; the cycle-level NoC in package noc is used
 // by the dedicated network experiments.
+//
+// Two reference paths live here and nowhere above: TickDense, the
+// clock-driven baseline the engine experiments (T4/F6) measure against,
+// and Options.NoPlan, which builds scalar cores. Both are bit-identical
+// to Tick and serve as oracles in the equivalence tests; the serving
+// stack (package sim and up) cannot select either.
 package chip
 
 import (
@@ -88,8 +94,8 @@ type Counters struct {
 }
 
 // Chip is the runtime state of one chip. It is the single-chip
-// implementation of the sim.Backend execution seam (Tick/TickDense/
-// TickParallel, Inject, Reset, Now, Counters); system.System wraps one
+// implementation of the sim.Backend execution seam (Tick/TickParallel,
+// Inject, Reset, Now, Counters); system.System wraps one
 // Chip into the multi-chip implementation, and everything above the
 // seam — Runner, pipeline sessions, streams, batches, async serving —
 // runs bit-identically over either.
@@ -136,9 +142,10 @@ func (ch *Chip) SetShardRouter(fn func(t int64, tgt core.Target, delay uint8)) {
 // Options tunes chip construction.
 type Options struct {
 	// NoPlan pins every core to the legacy scalar integration path
-	// (core.NewScalar) instead of the precompiled plan — the A/B
-	// debugging escape hatch behind cmd/nsim -noplan. Spike streams are
-	// bit-identical either way; only throughput differs.
+	// (core.NewScalar) instead of the precompiled plan: the chip-level
+	// oracle the plan equivalence tests compare against. Spike streams
+	// are bit-identical either way; only throughput differs. No serving
+	// path sets it.
 	NoPlan bool
 }
 
@@ -290,7 +297,8 @@ func (ch *Chip) Tick() []OutputSpike {
 
 // TickDense advances the chip one tick using the clock-driven core
 // evaluation (every neuron, every core, every tick) — the von Neumann
-// simulator baseline.
+// simulator baseline T4/F6 measure and the equivalence tests compare
+// against. It is not part of the sim.Backend seam.
 func (ch *Chip) TickDense() []OutputSpike {
 	t := ch.tick
 	ch.outputs = ch.outputs[:0]

@@ -222,8 +222,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestDenseMatchesEvent pins the clock-driven baseline T4/F6 measure
+// against: the same spikes as the event engine, for strictly more neuron
+// updates on a sparse schedule.
 func TestDenseMatchesEvent(t *testing.T) {
-	ev := runChip(randomChip(3, 3, 5), 48, 1, 7)
+	evCh := randomChip(3, 3, 5)
+	ev := runChip(evCh, 48, 1, 7)
 	ch := randomChip(3, 3, 5)
 	r := rng.NewSplitMix64(7)
 	var de []OutputSpike
@@ -240,6 +244,10 @@ func TestDenseMatchesEvent(t *testing.T) {
 		if ev[i] != de[i] {
 			t.Fatalf("divergence at output %d: %+v vs %+v", i, ev[i], de[i])
 		}
+	}
+	evWork, deWork := evCh.Counters().Core.NeuronUpdates, ch.Counters().Core.NeuronUpdates
+	if deWork <= evWork {
+		t.Fatalf("dense updates (%d) must exceed event updates (%d)", deWork, evWork)
 	}
 }
 

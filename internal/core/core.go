@@ -22,7 +22,10 @@
 // New additionally precompiles a per-core integration plan (see plan.go)
 // that serves deterministic neurons through column-major batch
 // accumulation and a flat leak/fire sweep, bit-identically to the scalar
-// path; NewScalar opts out for A/B debugging.
+// path. NewScalar (the scalar path) and TickDense (the clock-driven
+// evaluation) are reference implementations: the equivalence tests hold
+// the plan to them and the engine experiments measure against TickDense,
+// but no serving path selects either.
 package core
 
 import (
@@ -174,9 +177,9 @@ func New(cfg *Config) *Core {
 }
 
 // NewScalar builds a core pinned to the legacy scalar integration path,
-// with no precompiled plan — the A/B debugging escape hatch behind
-// cmd/nsim -noplan. Output is bit-identical to New; only throughput
-// differs.
+// with no precompiled plan — the reference the plan equivalence tests
+// compare against (chip.Options.NoPlan at chip level). Output is
+// bit-identical to New; only throughput differs.
 func NewScalar(cfg *Config) *Core { return newCore(cfg) }
 
 func newCore(cfg *Config) *Core {

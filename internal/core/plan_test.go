@@ -341,7 +341,7 @@ func BenchmarkTickDetTraffic(b *testing.B) {
 }
 
 // BenchmarkTickDetTrafficScalar is the same workload on the legacy
-// scalar path (the -noplan baseline).
+// scalar reference path.
 func BenchmarkTickDetTrafficScalar(b *testing.B) {
 	benchDetTraffic(b, NewScalar(detTrafficConfig()))
 }

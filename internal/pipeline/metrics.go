@@ -210,8 +210,8 @@ func (m *asyncMetrics) recordBatch(size int, cause dispatchCause) {
 
 // Metrics is a point-in-time snapshot of an AsyncPipeline's serving
 // state: configuration echo, gauges, counters, and latency summaries.
-// It marshals cleanly to JSON (durations as nanoseconds) for the
-// expvar endpoint in examples/server.
+// It marshals cleanly to JSON (durations as nanoseconds); WritePrometheus
+// renders it for a scrape endpoint.
 type Metrics struct {
 	// Configuration echo.
 	Workers     int

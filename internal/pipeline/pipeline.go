@@ -87,7 +87,6 @@ type config struct {
 	system        *system.Config // nil = single-chip backend
 	remoteAddrs   []string       // non-empty = distributed backend
 	remoteTimeout time.Duration
-	noPlan        bool
 }
 
 // WithEngine selects the core evaluation engine (default EngineEvent).
@@ -181,13 +180,6 @@ func WithRemoteSystem(addrs ...string) Option {
 func WithRemoteTimeout(d time.Duration) Option {
 	return func(c *config) { c.remoteTimeout = d }
 }
-
-// WithoutPlan pins every session's cores to the legacy scalar
-// integration path, disabling the precompiled per-core plans (the
-// cmd/nsim -noplan escape hatch). Predictions are bit-identical either
-// way — the plan only changes throughput — so this exists purely for
-// A/B debugging and performance comparison.
-func WithoutPlan() Option { return func(c *config) { c.noPlan = true } }
 
 // ErrPipelineClosed is the sentinel error every serving entry point
 // returns after Pipeline.Close.
@@ -316,20 +308,19 @@ func (p *Pipeline) newSessionLocked() *Session {
 		return p.remoteSess
 	}
 	s := &Session{p: p}
-	ropt := sim.RunnerOptions{NoPlan: p.cfg.noPlan}
 	if p.remoteSys != nil {
 		s.runner = sim.NewTiledRunner(p.mapping, p.remoteSys, p.cfg.engine, p.cfg.engineWorkers)
 		s.sys = p.remoteSys
 		s.excl = &p.remoteExcl
 	} else if p.cfg.system != nil {
-		r, err := sim.NewSystemRunnerWith(p.mapping, *p.cfg.system, p.cfg.engine, p.cfg.engineWorkers, ropt)
+		r, err := sim.NewSystemRunner(p.mapping, *p.cfg.system, p.cfg.engine, p.cfg.engineWorkers)
 		if err != nil {
 			panic(err) // New validated the tiling; unreachable
 		}
 		s.runner = r
 		s.sys = r.System()
 	} else {
-		s.runner = sim.NewRunnerWith(p.mapping, p.cfg.engine, p.cfg.engineWorkers, ropt)
+		s.runner = sim.NewRunner(p.mapping, p.cfg.engine, p.cfg.engineWorkers)
 	}
 	s.runner.SetExchangeWindow(p.cfg.exchange)
 	if p.cfg.encoder != nil {

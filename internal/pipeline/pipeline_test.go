@@ -684,32 +684,3 @@ func TestTilingMismatchRejected(t *testing.T) {
 		t.Errorf("untiled mapping rejected on 1x1 tile: %v", err)
 	}
 }
-
-// TestWithoutPlanBitIdentical pins the serving-layer A/B escape hatch:
-// predictions over the scalar core path must be bit-identical to the
-// plan-backed default, and the pipeline must report plan coverage via
-// the mapping stats.
-func TestWithoutPlanBitIdentical(t *testing.T) {
-	rg := buildRig(t)
-	ctx := context.Background()
-	plan, err := rg.pipeline(t).ClassifyBatch(ctx, rg.x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scalar, err := rg.pipeline(t, WithoutPlan()).ClassifyBatch(ctx, rg.x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range plan {
-		if plan[i] != scalar[i] {
-			t.Fatalf("image %d: plan path decided %d, scalar path %d", i, plan[i], scalar[i])
-		}
-	}
-	st := rg.mapping.Stats
-	if st.MappedNeurons <= 0 || st.DeterministicNeurons <= 0 {
-		t.Fatalf("mapping missing fast-path coverage stats: %+v", st)
-	}
-	if st.DeterministicFraction <= 0 || st.DeterministicFraction > 1 {
-		t.Fatalf("DeterministicFraction = %v out of range", st.DeterministicFraction)
-	}
-}

@@ -84,9 +84,8 @@ func promSummaryRow(w io.Writer, name, labels string, s LatencyStats) {
 }
 
 // WritePrometheus writes the serving snapshot in Prometheus text
-// exposition format under the neurogo_serving_* namespace — the
-// scrape-friendly sibling of the JSON the expvar endpoint serves.
-// Wire it to a handler with:
+// exposition format under the neurogo_serving_* namespace. Wire it to
+// a handler with:
 //
 //	http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 //		ap.Metrics().WritePrometheus(w)

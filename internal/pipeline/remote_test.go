@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/neurogo/neurogo/internal/chip"
 	"github.com/neurogo/neurogo/internal/compile"
 	"github.com/neurogo/neurogo/internal/corelet"
 	"github.com/neurogo/neurogo/internal/dataset"
@@ -50,7 +49,7 @@ func startShardServers(t *testing.T, mp *compile.Mapping, shards int) ([]*remote
 	srvs := make([]*remote.Server, shards)
 	addrs := make([]string, shards)
 	for i := 0; i < shards; i++ {
-		srv, err := remote.NewServer(mp, cfg, shards, i, chip.Options{})
+		srv, err := remote.NewServer(mp, cfg, shards, i)
 		if err != nil {
 			t.Fatal(err)
 		}

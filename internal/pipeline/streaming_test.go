@@ -69,22 +69,13 @@ func TestStreamingBitIdentical(t *testing.T) {
 			t.Fatalf("decision ticks not strictly increasing: %+v", want)
 		}
 	}
-	engines := []struct {
-		name string
-		opts []Option
-	}{
-		{"dense", []Option{WithEngine(sim.EngineDense)}},
-		{"parallel", []Option{WithEngine(sim.EngineParallel), WithEngineWorkers(4)}},
+	par := run(WithEngine(sim.EngineParallel), WithEngineWorkers(4))
+	if len(par) != len(want) {
+		t.Fatalf("parallel: %d decisions, event engine %d", len(par), len(want))
 	}
-	for _, e := range engines {
-		got := run(e.opts...)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d decisions, event engine %d", e.name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: decision %d = %+v, event engine %+v", e.name, i, got[i], want[i])
-			}
+	for i := range want {
+		if par[i] != want[i] {
+			t.Fatalf("parallel: decision %d = %+v, event engine %+v", i, par[i], want[i])
 		}
 	}
 

@@ -265,7 +265,7 @@ func (s *shardService) checkTickN(args *TickNArgs) error {
 		return fmt.Errorf("remote: %d-tick window exceeds the mapping's %d-tick exchange bound", args.N, s.window)
 	}
 	switch args.Mode {
-	case system.EvalEvent, system.EvalDense, system.EvalParallel:
+	case system.EvalEvent, system.EvalParallel:
 	default:
 		return fmt.Errorf("remote: unknown evaluation mode %v", args.Mode)
 	}
@@ -385,7 +385,7 @@ type Server struct {
 // so the coordinates alone pin which chips this process owns. The
 // server also derives its exchange-window bound from the mapping's
 // chip image, so a client can never talk it into an inexact window.
-func NewServer(m *compile.Mapping, cfg system.Config, shards, shard int, opt chip.Options) (*Server, error) {
+func NewServer(m *compile.Mapping, cfg system.Config, shards, shard int) (*Server, error) {
 	if err := cfg.Validate(m.Chip); err != nil {
 		return nil, err
 	}
@@ -399,7 +399,7 @@ func NewServer(m *compile.Mapping, cfg system.Config, shards, shard int, opt chi
 		return nil, fmt.Errorf("remote: shard index %d outside [0,%d)", shard, shards)
 	}
 	parts := system.PartitionChips(n, shards)
-	sh, err := system.NewShard(m.Chip, cfg, parts[shard], opt)
+	sh, err := system.NewShard(m.Chip, cfg, parts[shard], chip.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -733,15 +733,6 @@ func (c *Client) TickLocalN(mode system.EvalMode, workers int, incoming []system
 	c.counters = c.reply.Counters
 	c.intra, c.inter = c.reply.Intra, c.reply.Inter
 	return system.WindowResult{Outputs: outs, Boundary: c.boundary}, nil
-}
-
-// TickLocal implements system.ShardConn: the one-tick window.
-func (c *Client) TickLocal(mode system.EvalMode, workers int, incoming []system.BoundarySpike) (system.TickResult, error) {
-	win, err := c.TickLocalN(mode, workers, incoming, 1)
-	if err != nil {
-		return system.TickResult{}, err
-	}
-	return system.TickResult{Outputs: win.Outputs[0], Boundary: win.Boundary}, nil
 }
 
 // Inject implements system.ShardConn: buffered client-side (packed,

@@ -70,7 +70,7 @@ var testCfg = system.Config{ChipCoresX: 1, ChipCoresY: 1}
 // test covers that via re-exec).
 func startServer(t testing.TB, m *compile.Mapping, cfg system.Config, shards, shard int) (*Server, string) {
 	t.Helper()
-	srv, err := NewServer(m, cfg, shards, shard, chip.Options{})
+	srv, err := NewServer(m, cfg, shards, shard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,6 +120,20 @@ func drive(t testing.TB, mp *compile.Mapping, b tiledBackend, ticks int, seed ui
 		outs = append(outs, append([]chip.OutputSpike(nil), b.Tick()...)...)
 	}
 	return outs
+}
+
+// linksOf reads a tile's (src chip, dst chip) crossing matrix through
+// AddLinkTrafficInto, the surface the Runner folds across Resets.
+func linksOf(b interface {
+	Chips() int
+	AddLinkTrafficInto(dst [][]uint64)
+}) [][]uint64 {
+	link := make([][]uint64, b.Chips())
+	for i := range link {
+		link[i] = make([]uint64, b.Chips())
+	}
+	b.AddLinkTrafficInto(link)
+	return link
 }
 
 func compareOutputs(t testing.TB, label string, got, want []chip.OutputSpike) {
@@ -172,8 +186,8 @@ func TestRemoteBitIdentical(t *testing.T) {
 				if ge == 0 {
 					t.Fatalf("%s: no crossings on 1x1-core chips", leg)
 				}
-				wantLink := sys.LinkTraffic()
-				gotLink := shd.LinkTraffic()
+				wantLink := linksOf(sys)
+				gotLink := linksOf(shd)
 				for i := range wantLink {
 					for j := range wantLink[i] {
 						if gotLink[i][j] != wantLink[i][j] {
@@ -242,7 +256,7 @@ func TestLockstepGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	if _, err := c1.TickLocal(system.EvalEvent, 1, nil); err != nil {
+	if _, err := c1.TickLocalN(system.EvalEvent, 1, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Fresh client, seq 0; the shard is at tick 1.
@@ -251,7 +265,7 @@ func TestLockstepGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	_, err = c2.TickLocal(system.EvalEvent, 1, nil)
+	_, err = c2.TickLocalN(system.EvalEvent, 1, nil, 1)
 	if err == nil || !strings.Contains(err.Error(), "lockstep") {
 		t.Fatalf("desynchronized tick error = %v", err)
 	}
@@ -324,7 +338,7 @@ func TestStalledShardRespectsDeadlines(t *testing.T) {
 		srv.svc.mu.Lock()
 		defer srv.svc.mu.Unlock()
 		start := time.Now()
-		_, err = c.TickLocal(system.EvalEvent, 1, nil)
+		_, err = c.TickLocalN(system.EvalEvent, 1, nil, 1)
 		if err == nil || !strings.Contains(err.Error(), "timed out") {
 			t.Fatalf("stalled tick error = %v", err)
 		}
@@ -349,7 +363,7 @@ func TestStalledShardRespectsDeadlines(t *testing.T) {
 		srv.svc.mu.Lock()
 		defer srv.svc.mu.Unlock()
 		start := time.Now()
-		_, err = c.TickLocal(system.EvalEvent, 1, nil)
+		_, err = c.TickLocalN(system.EvalEvent, 1, nil, 1)
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("deadline error = %v", err)
 		}

@@ -1,7 +1,7 @@
 package remote
 
 // Windowed-exchange coverage: the Protocol v2 bit-identity fuzz across
-// shard counts x window widths x engines (including Reset
+// shard counts x window widths x evaluation modes (including Reset
 // mid-sequence), the delay-1 mapping that must force lockstep, the
 // protocol-v1 handshake rejection, and the server's validation of the
 // client-controlled TickN fields.
@@ -132,12 +132,12 @@ func TestRemoteWindowedBitIdentical(t *testing.T) {
 	if inter1 == 0 {
 		t.Fatal("reference crossed no chip boundary; fuzz is vacuous")
 	}
-	link1 := copyLinks(ref.LinkTraffic())
+	link1 := linksOf(ref)
 	ref.Reset()
 	want2 := drive(t, mp, ref, ticks, 23)
 	cnt2 := ref.Chip().Counters()
 	intra2, inter2 := ref.BoundaryTotals()
-	link2 := copyLinks(ref.LinkTraffic())
+	link2 := linksOf(ref)
 
 	nChips := len(link1)
 	for _, shards := range []int{1, 2, 4} {
@@ -153,7 +153,6 @@ func TestRemoteWindowedBitIdentical(t *testing.T) {
 				mode system.EvalMode
 			}{
 				{"event", system.EvalEvent},
-				{"dense", system.EvalDense},
 				{"parallel", system.EvalParallel},
 			} {
 				t.Run(fmt.Sprintf("shards-%d/w-%d/%s", shards, w, eng.name), func(t *testing.T) {
@@ -167,20 +166,14 @@ func TestRemoteWindowedBitIdentical(t *testing.T) {
 					check := func(leg string, want []chip.OutputSpike, cnt chip.Counters, intra, inter uint64, link [][]uint64) {
 						got := driveWindowed(t, mp, shd, eng.mode, ticks, w, 23)
 						compareOutputs(t, leg, got, want)
-						// Counters are spike-exact across engines except the
-						// dense engine's work metrics (it updates every neuron
-						// every tick by design), so compare them against the
-						// event-mode reference on the event-order engines only.
-						if eng.mode != system.EvalDense {
-							if got := shd.Counters(); got != cnt {
-								t.Fatalf("%s: counters %+v, reference %+v", leg, got, cnt)
-							}
+						if got := shd.Counters(); got != cnt {
+							t.Fatalf("%s: counters %+v, reference %+v", leg, got, cnt)
 						}
 						gi, ge := shd.BoundaryTotals()
 						if gi != intra || ge != inter {
 							t.Fatalf("%s: boundary totals (%d,%d), reference (%d,%d)", leg, gi, ge, intra, inter)
 						}
-						gl := shd.LinkTraffic()
+						gl := linksOf(shd)
 						for i := 0; i < nChips; i++ {
 							for j := 0; j < nChips; j++ {
 								if gl[i][j] != link[i][j] {
@@ -196,14 +189,6 @@ func TestRemoteWindowedBitIdentical(t *testing.T) {
 			}
 		}
 	}
-}
-
-func copyLinks(link [][]uint64) [][]uint64 {
-	out := make([][]uint64, len(link))
-	for i := range link {
-		out[i] = append([]uint64(nil), link[i]...)
-	}
-	return out
 }
 
 // crossShardTraffic sums link-matrix traffic between chips that a
@@ -292,10 +277,12 @@ func TestHandshakeRejectsProtocolV1(t *testing.T) {
 // TestTickNValidatesWireFields pins the server's distrust of the
 // client-controlled TickN fields over a real connection. The mapping
 // sits on one chip, so no chip crossing bounds the exchange window.
-// An unknown evaluation mode and windows outside [1, RingSlots] are
-// refused before any carried injection lands, a worker count far past
-// the host's CPUs is clamped, and after every refusal the same
-// connection still runs a legal window bit-identically to a local chip.
+// An unknown evaluation mode (including 1, the retired clock-driven
+// mode a stale client could still send) and windows outside
+// [1, RingSlots] are refused before any carried injection lands, a
+// worker count far past the host's CPUs is clamped, and after every
+// refusal the same connection still runs a legal window bit-identically
+// to a local chip.
 func TestTickNValidatesWireFields(t *testing.T) {
 	mp := testMapping(t, 5)
 	srv, addr := startServer(t, mp, system.Config{ChipCoresX: 4, ChipCoresY: 4}, 1, 0)
@@ -326,6 +313,7 @@ func TestTickNValidatesWireFields(t *testing.T) {
 		want string
 	}{
 		{"unknown mode", func(a *TickNArgs) { a.Mode = system.EvalParallel + 1 }, "unknown evaluation mode"},
+		{"retired mode 1", func(a *TickNArgs) { a.Mode = 1 }, "unknown evaluation mode"},
 		{"window past the delay ring", func(a *TickNArgs) { a.N = core.RingSlots + 1 }, "outside [1,16]"},
 		{"empty window", func(a *TickNArgs) { a.N = 0 }, "outside [1,16]"},
 	} {

@@ -20,7 +20,7 @@ func TestShardedRunnerBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := system.Config{ChipCoresX: 1, ChipCoresY: 1} // 36 chips
-		for _, eng := range []Engine{EngineEvent, EngineDense, EngineParallel} {
+		for _, eng := range []Engine{EngineEvent, EngineParallel} {
 			want := schedule(t, NewRunner(mp, eng, 2), 40, seed*13)
 			if len(want) == 0 {
 				t.Fatalf("seed %d: no events; test is vacuous", seed)
@@ -34,7 +34,7 @@ func TestShardedRunnerBitIdentical(t *testing.T) {
 			sysLink := sysR.BoundaryLinks()
 
 			for _, shards := range []int{1, 2, 4} {
-				sr, err := NewShardedRunner(mp, cfg, shards, eng, 2, RunnerOptions{})
+				sr, err := NewShardedRunner(mp, cfg, shards, eng, 2)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -98,7 +98,7 @@ func TestShardedRunnerResetFolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewShardedRunner(mp, system.Config{ChipCoresX: 1, ChipCoresY: 1}, 4, EngineEvent, 1, RunnerOptions{})
+	r, err := NewShardedRunner(mp, system.Config{ChipCoresX: 1, ChipCoresY: 1}, 4, EngineEvent, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,17 +5,15 @@
 //   - Runner drives a compiled mapping (package compile) tick by tick
 //     over a Backend — a single chip.Chip or a multi-chip system.System
 //     tile — injecting external input lines and decoding external output
-//     spikes back to logical neuron IDs. It can evaluate cores
-//     event-driven (the production engine), densely (the clock-driven
-//     baseline), or event-driven across several goroutines; all three
-//     produce bit-identical spike streams, on either backend. The
-//     event-driven engines additionally run each core's precompiled
+//     spikes back to logical neuron IDs. It evaluates cores event-driven,
+//     on one goroutine or across several; both produce bit-identical
+//     spike streams, on every backend. Each core runs its precompiled
 //     integration plan (core/plan.go): deterministic neurons take
 //     branch-free column accumulation and a flat leak/fire sweep,
 //     stochastic ones keep the exact per-event path in LFSR draw order,
-//     so the plan changes throughput, never output bits.
-//     RunnerOptions.NoPlan forces the legacy scalar path for A/B
-//     debugging.
+//     so the plan changes throughput, never output bits. The clock-driven
+//     (chip.TickDense) and scalar (core.NewScalar) evaluations are
+//     chip-level reference implementations, not serving paths.
 //
 //   - Logical interprets a model.Network directly, without compiling.
 //     It is the executable specification: for deterministic networks the
@@ -54,8 +52,6 @@ type Backend interface {
 	// returns the external output spikes emitted during it. The slice
 	// may be reused across ticks; retainers must copy.
 	Tick() []chip.OutputSpike
-	// TickDense advances one tick with clock-driven evaluation.
-	TickDense() []chip.OutputSpike
 	// TickParallel advances one tick sharded across workers goroutines,
 	// bit-identically to Tick.
 	TickParallel(workers int) []chip.OutputSpike
@@ -163,14 +159,10 @@ func MaxExchangeWindow(m *compile.Mapping) int {
 // EvalMode translates an Engine into the system-layer evaluation mode
 // shards run locally (system cannot import sim).
 func (e Engine) EvalMode() system.EvalMode {
-	switch e {
-	case EngineDense:
-		return system.EvalDense
-	case EngineParallel:
+	if e == EngineParallel {
 		return system.EvalParallel
-	default:
-		return system.EvalEvent
 	}
+	return system.EvalEvent
 }
 
 // Engine selects the core evaluation strategy.
@@ -179,9 +171,6 @@ type Engine int
 const (
 	// EngineEvent is the sparse, event-driven engine (production).
 	EngineEvent Engine = iota
-	// EngineDense is the clock-driven baseline: every neuron of every
-	// core is evaluated every tick.
-	EngineDense
 	// EngineParallel is EngineEvent sharded across goroutines.
 	EngineParallel
 )
@@ -191,8 +180,6 @@ func (e Engine) String() string {
 	switch e {
 	case EngineEvent:
 		return "event"
-	case EngineDense:
-		return "dense"
 	case EngineParallel:
 		return "parallel"
 	default:
@@ -227,15 +214,6 @@ type Runner struct {
 	baseTicks            uint64
 }
 
-// RunnerOptions tunes backend construction.
-type RunnerOptions struct {
-	// NoPlan pins every core to the legacy scalar integration path
-	// (chip.Options.NoPlan) — bit-identical output, scalar throughput.
-	NoPlan bool
-}
-
-func (o RunnerOptions) chipOptions() chip.Options { return chip.Options{NoPlan: o.NoPlan} }
-
 // NewRunner builds a runner over a single-chip backend. workers is used
 // only by EngineParallel and is clamped to [1, runtime.NumCPU()] —
 // goroutines beyond the physical core count only add scheduling
@@ -248,12 +226,7 @@ func (o RunnerOptions) chipOptions() chip.Options { return chip.Options{NoPlan: 
 // runners may share one compiled mapping concurrently; each runner owns
 // an independent chip instance.
 func NewRunner(m *compile.Mapping, engine Engine, workers int) *Runner {
-	return NewRunnerWith(m, engine, workers, RunnerOptions{})
-}
-
-// NewRunnerWith is NewRunner with explicit backend options.
-func NewRunnerWith(m *compile.Mapping, engine Engine, workers int, opt RunnerOptions) *Runner {
-	ch := chip.NewWithOptions(m.Chip, opt.chipOptions())
+	ch := chip.New(m.Chip)
 	r := newBackendRunner(m, ch, engine, workers)
 	r.chip = ch
 	return r
@@ -266,12 +239,7 @@ func NewRunnerWith(m *compile.Mapping, engine Engine, workers int, opt RunnerOpt
 // NewRunner over the same mapping — tiling only adds accounting. It
 // errors when the mapping's core grid does not tile into cfg's chips.
 func NewSystemRunner(m *compile.Mapping, cfg system.Config, engine Engine, workers int) (*Runner, error) {
-	return NewSystemRunnerWith(m, cfg, engine, workers, RunnerOptions{})
-}
-
-// NewSystemRunnerWith is NewSystemRunner with explicit backend options.
-func NewSystemRunnerWith(m *compile.Mapping, cfg system.Config, engine Engine, workers int, opt RunnerOptions) (*Runner, error) {
-	sys, err := system.NewWithOptions(m.Chip, cfg, opt.chipOptions())
+	sys, err := system.New(m.Chip, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -288,8 +256,8 @@ func NewSystemRunnerWith(m *compile.Mapping, cfg system.Config, engine Engine, w
 // bit-identical to NewSystemRunner over the same mapping — sharding is
 // the same computation with the exchange made explicit — which is what
 // the distributed (multi-process) deployment rides on.
-func NewShardedRunner(m *compile.Mapping, cfg system.Config, shards int, engine Engine, workers int, opt RunnerOptions) (*Runner, error) {
-	sys, err := system.NewSharded(m.Chip, cfg, shards, opt.chipOptions())
+func NewShardedRunner(m *compile.Mapping, cfg system.Config, shards int, engine Engine, workers int) (*Runner, error) {
+	sys, err := system.NewSharded(m.Chip, cfg, shards)
 	if err != nil {
 		return nil, err
 	}
@@ -531,12 +499,9 @@ func (r *Runner) collect(t int64, outs []chip.OutputSpike) []Event {
 func (r *Runner) Step() []Event {
 	t := r.backend.Now()
 	var outs []chip.OutputSpike
-	switch r.engine {
-	case EngineDense:
-		outs = r.backend.TickDense()
-	case EngineParallel:
+	if r.engine == EngineParallel {
 		outs = r.backend.TickParallel(r.workers)
-	default:
+	} else {
 		outs = r.backend.Tick()
 	}
 	return r.collect(t, outs)

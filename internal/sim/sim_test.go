@@ -104,7 +104,7 @@ func TestCompleteThroughFrontier(t *testing.T) {
 }
 
 func TestEngineString(t *testing.T) {
-	if EngineEvent.String() != "event" || EngineDense.String() != "dense" || EngineParallel.String() != "parallel" {
+	if EngineEvent.String() != "event" || EngineParallel.String() != "parallel" {
 		t.Error("engine names wrong")
 	}
 	if Engine(9).String() == "" {
@@ -204,7 +204,7 @@ func TestGoldenModelEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: golden run produced no events; test is vacuous", seed)
 		}
 
-		for _, eng := range []Engine{EngineEvent, EngineDense, EngineParallel} {
+		for _, eng := range []Engine{EngineEvent, EngineParallel} {
 			for _, placer := range []compile.Placer{compile.PlacerGreedy, compile.PlacerRandom} {
 				mp, err := compile.Compile(goldenNet(seed), compile.Options{Placer: placer, Seed: seed})
 				if err != nil {
@@ -240,28 +240,9 @@ func TestRunnerEnginesProduceIdenticalCounters(t *testing.T) {
 		return r.Chip().Counters().Core.Spikes
 	}
 	_ = mp
-	ev, de := spikes(EngineEvent), spikes(EngineDense)
-	if ev != de {
-		t.Fatalf("event engine fired %d spikes, dense %d", ev, de)
-	}
-}
-
-func TestDenseDoesMoreWork(t *testing.T) {
-	mkRunner := func(eng Engine) *Runner {
-		mp, err := compile.Compile(goldenNet(9), compile.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return NewRunner(mp, eng, 1)
-	}
-	ev := mkRunner(EngineEvent)
-	de := mkRunner(EngineDense)
-	schedule(t, ev, 40, 13)
-	schedule(t, de, 40, 13)
-	evWork := ev.Chip().Counters().Core.NeuronUpdates
-	deWork := de.Chip().Counters().Core.NeuronUpdates
-	if deWork <= evWork {
-		t.Fatalf("dense updates (%d) must exceed event updates (%d)", deWork, evWork)
+	ev, par := spikes(EngineEvent), spikes(EngineParallel)
+	if ev != par {
+		t.Fatalf("event engine fired %d spikes, parallel %d", ev, par)
 	}
 }
 
@@ -308,20 +289,6 @@ func BenchmarkRunnerEventGolden(b *testing.B) {
 		b.Fatal(err)
 	}
 	r := NewRunner(mp, EngineEvent, 1)
-	tr := rng.NewSplitMix64(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.InjectLine(int32(tr.Intn(24)))
-		r.Step()
-	}
-}
-
-func BenchmarkRunnerDenseGolden(b *testing.B) {
-	mp, err := compile.Compile(goldenNet(1), compile.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := NewRunner(mp, EngineDense, 1)
 	tr := rng.NewSplitMix64(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -424,7 +391,7 @@ func TestSystemRunnerBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range []Engine{EngineEvent, EngineDense, EngineParallel} {
+	for _, eng := range []Engine{EngineEvent, EngineParallel} {
 		t.Run(eng.String(), func(t *testing.T) {
 			want := schedule(t, NewRunner(mp, eng, 2), 40, 17)
 			// 1x1-core chips: every core-to-core route crosses a boundary,

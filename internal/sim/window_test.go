@@ -164,7 +164,7 @@ func TestStepNMatchesSequentialSteps(t *testing.T) {
 	}
 	cfg := system.Config{ChipCoresX: 1, ChipCoresY: 1}
 
-	for _, eng := range []Engine{EngineEvent, EngineDense, EngineParallel} {
+	for _, eng := range []Engine{EngineEvent, EngineParallel} {
 		want := schedule(t, NewRunner(mp, eng, 2), 30, seed*3)
 		if len(want) == 0 {
 			t.Fatalf("%v: no events; test is vacuous", eng)
@@ -178,7 +178,7 @@ func TestStepNMatchesSequentialSteps(t *testing.T) {
 		// Sharded backend: StepN collapses each window into one exchange.
 		for _, shards := range []int{1, 2, 4} {
 			for _, w := range []int{1, 2, 4} {
-				sr, err := NewShardedRunner(mp, cfg, shards, eng, 2, RunnerOptions{})
+				sr, err := NewShardedRunner(mp, cfg, shards, eng, 2)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -76,7 +76,7 @@ type Sharded struct {
 // part. With shards == 1 the result is still exercised through the
 // shard-exchange code path — the degenerate case every multi-shard
 // run must agree with.
-func NewSharded(coreGrid *chip.Config, cfg Config, shards int, opt chip.Options) (*Sharded, error) {
+func NewSharded(coreGrid *chip.Config, cfg Config, shards int) (*Sharded, error) {
 	if err := cfg.Validate(coreGrid); err != nil {
 		return nil, err
 	}
@@ -87,7 +87,7 @@ func NewSharded(coreGrid *chip.Config, cfg Config, shards int, opt chip.Options)
 	parts := PartitionChips(n, shards)
 	conns := make([]ShardConn, len(parts))
 	for i, part := range parts {
-		sh, err := NewShard(coreGrid, cfg, part, opt)
+		sh, err := NewShard(coreGrid, cfg, part, chip.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -273,9 +273,6 @@ func (s *Sharded) TickN(mode EvalMode, workers, n int) [][]chip.OutputSpike {
 // After a shard failure it returns nil; check Err.
 func (s *Sharded) Tick() []chip.OutputSpike { return s.tickAll(EvalEvent, 1) }
 
-// TickDense advances one tick with the clock-driven core evaluation.
-func (s *Sharded) TickDense() []chip.OutputSpike { return s.tickAll(EvalDense, 1) }
-
 // TickParallel advances one tick with each shard's cores evaluated
 // across workers goroutines, bit-identically to Tick.
 func (s *Sharded) TickParallel(workers int) []chip.OutputSpike {
@@ -365,55 +362,6 @@ func (s *Sharded) BoundaryTotals() (intra, inter uint64) {
 func (s *Sharded) AddLinkTrafficInto(dst [][]uint64) {
 	for _, c := range s.conns {
 		c.AddLinkTrafficInto(dst)
-	}
-}
-
-// LinkTraffic returns a fresh copy of the summed crossing matrix.
-func (s *Sharded) LinkTraffic() [][]uint64 {
-	n := s.Chips()
-	out := make([][]uint64, n)
-	for i := range out {
-		out[i] = make([]uint64, n)
-	}
-	s.AddLinkTrafficInto(out)
-	return out
-}
-
-// Stats returns the boundary-traffic summary across all shards.
-func (s *Sharded) Stats() Stats {
-	intra, inter := s.BoundaryTotals()
-	st := Stats{IntraChip: intra, InterChip: inter}
-	for _, row := range s.LinkTraffic() {
-		for _, v := range row {
-			if v > st.BusiestLink {
-				st.BusiestLink = v
-			}
-		}
-	}
-	return st
-}
-
-// InterChipFraction returns the fraction of routed spikes crossing
-// chip boundaries (0 when nothing has been routed).
-func (s *Sharded) InterChipFraction() float64 {
-	intra, inter := s.BoundaryTotals()
-	total := intra + inter
-	if total == 0 {
-		return 0
-	}
-	return float64(inter) / float64(total)
-}
-
-// Capacity aggregates per-chip capacity across the tile.
-func (s *Sharded) Capacity() chip.Capacity {
-	per := chip.CapacityOf(s.cfg.ChipCoresX, s.cfg.ChipCoresY)
-	n := s.Chips()
-	return chip.Capacity{
-		Cores:        per.Cores * n,
-		Neurons:      per.Neurons * n,
-		Synapses:     per.Synapses * n,
-		SRAMBits:     per.SRAMBits * int64(n),
-		MeshDiameter: (s.chipsX*s.cfg.ChipCoresX - 1) + (s.chipsY*s.cfg.ChipCoresY - 1),
 	}
 }
 

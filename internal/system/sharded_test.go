@@ -3,6 +3,7 @@ package system
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -75,7 +76,7 @@ func TestInjectParity(t *testing.T) {
 		{"system", sys.Inject, func() uint64 { return sys.Chip().Counters().InputSpikes }},
 	}
 	for _, shards := range []int{2, 4} {
-		shd, err := NewSharded(gridConfig(ext), Config{ChipCoresX: 2, ChipCoresY: 2}, shards, chip.Options{})
+		shd, err := NewSharded(gridConfig(ext), Config{ChipCoresX: 2, ChipCoresY: 2}, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,6 +157,27 @@ func present(t *testing.T, inject func(int32, int, int64) error, tick func() []c
 	return outs
 }
 
+// tileTraffic is a tile's boundary accounting read through the surface
+// the Runner folds across Resets: BoundaryTotals and AddLinkTrafficInto.
+type tileTraffic struct {
+	intra, inter uint64
+	link         [][]uint64
+}
+
+func trafficOf(b interface {
+	Chips() int
+	BoundaryTotals() (intra, inter uint64)
+	AddLinkTrafficInto(dst [][]uint64)
+}) tileTraffic {
+	tt := tileTraffic{link: make([][]uint64, b.Chips())}
+	for i := range tt.link {
+		tt.link[i] = make([]uint64, b.Chips())
+	}
+	tt.intra, tt.inter = b.BoundaryTotals()
+	b.AddLinkTrafficInto(tt.link)
+	return tt
+}
+
 // TestShardedMatchesSystem is the partition-equivalence contract at the
 // system layer: for every shard count, a Sharded over the same core
 // grid emits exactly the System's spike stream, and every accounting
@@ -168,13 +190,13 @@ func TestShardedMatchesSystem(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantOuts := present(t, sys.Inject, sys.Tick)
-	wantStats := sys.Stats()
-	if len(wantOuts) == 0 || wantStats.InterChip == 0 {
-		t.Fatalf("rig emits nothing or crosses nothing: %d outs, %+v", len(wantOuts), wantStats)
+	want := trafficOf(sys)
+	if len(wantOuts) == 0 || want.inter == 0 {
+		t.Fatalf("rig emits nothing or crosses nothing: %d outs, %+v", len(wantOuts), want)
 	}
 
 	for _, shards := range []int{1, 2, 4} {
-		shd, err := NewSharded(chainRig(), cfg, shards, chip.Options{})
+		shd, err := NewSharded(chainRig(), cfg, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,23 +209,11 @@ func TestShardedMatchesSystem(t *testing.T) {
 				t.Fatalf("shards=%d: output %d = %+v, system %+v", shards, i, gotOuts[i], wantOuts[i])
 			}
 		}
-		if got := shd.Stats(); got != wantStats {
-			t.Fatalf("shards=%d: stats %+v, system %+v", shards, got, wantStats)
+		if got := trafficOf(shd); !reflect.DeepEqual(got, want) {
+			t.Fatalf("shards=%d: traffic %+v, system %+v", shards, got, want)
 		}
 		if got, want := shd.Counters(), sys.Chip().Counters(); got != want {
 			t.Fatalf("shards=%d: counters %+v, system %+v", shards, got, want)
-		}
-		wantLink := sys.LinkTraffic()
-		gotLink := shd.LinkTraffic()
-		for i := range wantLink {
-			for j := range wantLink[i] {
-				if gotLink[i][j] != wantLink[i][j] {
-					t.Fatalf("shards=%d: link[%d][%d] = %d, system %d", shards, i, j, gotLink[i][j], wantLink[i][j])
-				}
-			}
-		}
-		if got, want := shd.InterChipFraction(), sys.InterChipFraction(); got != want {
-			t.Fatalf("shards=%d: inter-chip fraction %g, system %g", shards, got, want)
 		}
 		if shd.Now() != sys.Now() {
 			t.Fatalf("shards=%d: clock %d, system %d", shards, shd.Now(), sys.Now())
@@ -216,25 +226,26 @@ func TestShardedMatchesSystem(t *testing.T) {
 // preserved, and the next presentation bit-identical to a fresh build.
 func TestShardedResetBitIdentical(t *testing.T) {
 	cfg := Config{ChipCoresX: 2, ChipCoresY: 2}
-	fresh, err := NewSharded(chainRig(), cfg, 4, chip.Options{})
+	fresh, err := NewSharded(chainRig(), cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantOuts := present(t, fresh.Inject, fresh.Tick)
-	wantStats := fresh.Stats()
+	want := trafficOf(fresh)
 
-	shd, err := NewSharded(chainRig(), cfg, 4, chip.Options{})
+	shd, err := NewSharded(chainRig(), cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pristine := trafficOf(shd)
 	present(t, shd.Inject, shd.Tick)
 	counters := shd.Counters()
 	shd.Reset()
 	if shd.Now() != 0 {
 		t.Fatalf("Now after Reset = %d", shd.Now())
 	}
-	if st := shd.Stats(); st != (Stats{}) {
-		t.Fatalf("Reset left traffic %+v", st)
+	if got := trafficOf(shd); !reflect.DeepEqual(got, pristine) {
+		t.Fatalf("Reset left traffic %+v", got)
 	}
 	if got := shd.Counters(); got != counters {
 		t.Fatalf("Reset dropped activity counters: %+v -> %+v", counters, got)
@@ -248,8 +259,8 @@ func TestShardedResetBitIdentical(t *testing.T) {
 			t.Fatalf("output %d: reset %+v, fresh %+v", i, gotOuts[i], wantOuts[i])
 		}
 	}
-	if got := shd.Stats(); got != wantStats {
-		t.Fatalf("traffic after reset %+v, fresh %+v", got, wantStats)
+	if got := trafficOf(shd); !reflect.DeepEqual(got, want) {
+		t.Fatalf("traffic after reset %+v, fresh %+v", got, want)
 	}
 }
 
@@ -280,23 +291,19 @@ func TestNewShardedFromValidates(t *testing.T) {
 		[]ShardConn{mk(0, 1, 2, 3)}, [][]int{{0, 1, 2, 9}}); err == nil {
 		t.Error("out-of-range chip accepted")
 	}
-	if _, err := NewSharded(chainRig(), cfg, 0, chip.Options{}); err == nil {
+	if _, err := NewSharded(chainRig(), cfg, 0); err == nil {
 		t.Error("0 shards accepted")
 	}
-	if _, err := NewSharded(chainRig(), cfg, 5, chip.Options{}); err == nil {
+	if _, err := NewSharded(chainRig(), cfg, 5); err == nil {
 		t.Error("more shards than chips accepted")
 	}
 }
 
-// failingConn wraps an in-process shard and fails every TickLocal —
+// failingConn wraps an in-process shard and fails every TickLocalN —
 // the minimal stand-in for a dead shard process.
 type failingConn struct {
 	*Shard
 	cause error
-}
-
-func (f *failingConn) TickLocal(EvalMode, int, []BoundarySpike) (TickResult, error) {
-	return TickResult{}, f.cause
 }
 
 func (f *failingConn) TickLocalN(EvalMode, int, []BoundarySpike, int) (WindowResult, error) {

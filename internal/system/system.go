@@ -51,17 +51,11 @@ type System struct {
 // New partitions the chip cfg onto physical chips of the given per-chip
 // core dimensions. The core grid must tile exactly.
 func New(coreGrid *chip.Config, cfg Config) (*System, error) {
-	return NewWithOptions(coreGrid, cfg, chip.Options{})
-}
-
-// NewWithOptions is New with explicit chip construction options (e.g.
-// chip.Options.NoPlan to force the legacy scalar core path).
-func NewWithOptions(coreGrid *chip.Config, cfg Config, opt chip.Options) (*System, error) {
 	if err := cfg.Validate(coreGrid); err != nil {
 		return nil, err
 	}
 	s := &System{
-		ch:     chip.NewWithOptions(coreGrid, opt),
+		ch:     chip.New(coreGrid),
 		cfg:    cfg,
 		chipsX: coreGrid.Width / cfg.ChipCoresX,
 		chipsY: coreGrid.Height / cfg.ChipCoresY,
@@ -125,9 +119,6 @@ func (s *System) ChipOf(coreIdx int32) int {
 
 // Tick advances the system one tick (event-driven core evaluation).
 func (s *System) Tick() []chip.OutputSpike { return s.ch.Tick() }
-
-// TickDense advances one tick with the clock-driven core evaluation.
-func (s *System) TickDense() []chip.OutputSpike { return s.ch.TickDense() }
 
 // TickParallel advances one tick sharded across worker goroutines,
 // bit-identically to Tick. The route observer (and hence boundary
@@ -208,17 +199,4 @@ func (s *System) InterChipFraction() float64 {
 		return 0
 	}
 	return float64(s.inter) / float64(total)
-}
-
-// Capacity aggregates per-chip capacity across the tile.
-func (s *System) Capacity() chip.Capacity {
-	per := chip.CapacityOf(s.cfg.ChipCoresX, s.cfg.ChipCoresY)
-	n := s.Chips()
-	return chip.Capacity{
-		Cores:        per.Cores * n,
-		Neurons:      per.Neurons * n,
-		Synapses:     per.Synapses * n,
-		SRAMBits:     per.SRAMBits * int64(n),
-		MeshDiameter: (s.chipsX*s.cfg.ChipCoresX - 1) + (s.chipsY*s.cfg.ChipCoresY - 1),
-	}
 }

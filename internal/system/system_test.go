@@ -225,19 +225,6 @@ func TestInterChipFractionEmpty(t *testing.T) {
 	}
 }
 
-func TestCapacityAggregates(t *testing.T) {
-	cfg := gridConfig(func(i int) int32 { return core.ExternalCore })
-	s, _ := New(cfg, Config{ChipCoresX: 2, ChipCoresY: 2})
-	c := s.Capacity()
-	per := chip.CapacityOf(2, 2)
-	if c.Cores != 4*per.Cores || c.Neurons != 4*per.Neurons || c.SRAMBits != 4*per.SRAMBits {
-		t.Fatalf("capacity = %+v", c)
-	}
-	if c.MeshDiameter != 6 {
-		t.Errorf("diameter = %d, want 6 (4x4 cores)", c.MeshDiameter)
-	}
-}
-
 // TestPlacementReducesInterChipTraffic is the system-level placement
 // claim: annealed placement crosses chip boundaries less often than
 // random placement for the same network and traffic.

@@ -68,8 +68,8 @@
 //	class, err := r.Classify(ctx, "digits", img)
 //
 // Simulation is deterministic: identical configurations and seeds yield
-// bit-identical spike streams across the event-driven, dense and
-// parallel engines.
+// bit-identical spike streams across the sequential and parallel
+// engines and every backend.
 //
 // The public API re-exports the stable surface of the internal
 // subsystems; see DESIGN.md for the architecture inventory and
@@ -195,7 +195,6 @@ type Engine = sim.Engine
 // Evaluation engines.
 const (
 	EngineEvent    = sim.EngineEvent
-	EngineDense    = sim.EngineDense
 	EngineParallel = sim.EngineParallel
 )
 
@@ -232,7 +231,7 @@ func NewSystemRunner(m *Mapping, cfg SystemConfig, engine Engine, workers int) (
 // spike exchange per tick — the same code path the distributed
 // (multi-process) deployment runs, bit-identical to NewSystemRunner.
 func NewShardedRunner(m *Mapping, cfg SystemConfig, shards int, engine Engine, workers int) (*Runner, error) {
-	return sim.NewShardedRunner(m, cfg, shards, engine, workers, sim.RunnerOptions{})
+	return sim.NewShardedRunner(m, cfg, shards, engine, workers)
 }
 
 // NewLogical builds the reference interpreter for a network.
@@ -355,14 +354,8 @@ func NewShardServer(m *Mapping, shards, shard int) (*ShardServer, error) {
 		return nil, errors.New("neurogo: shard servers need a tiled-compiled mapping (CompileOptions.ChipCoresX/Y)")
 	}
 	cfg := system.Config{ChipCoresX: st.ChipCoresX, ChipCoresY: st.ChipCoresY}
-	return remote.NewServer(m, cfg, shards, shard, chip.Options{})
+	return remote.NewServer(m, cfg, shards, shard)
 }
-
-// WithoutPlan pins every session's cores to the legacy scalar
-// integration path, disabling the precompiled per-core plans (the
-// cmd/nsim -noplan escape hatch). Bit-identical output, scalar
-// throughput; for A/B debugging only.
-func WithoutPlan() PipelineOption { return pipeline.WithoutPlan() }
 
 // BoundaryTraffic summarises a pipeline's multi-chip boundary traffic
 // (intra/inter spike counts, inter-chip fraction, busiest link).

@@ -67,8 +67,8 @@ func (rg *equivRig) handWired(img []float64, engine Engine, workers, window, dra
 }
 
 // TestPipelineMatchesHandWiredLoop asserts Pipeline.Classify is
-// bit-identical to the hand-wired encoder/runner/decoder loop across
-// all three engines, and that a session stays bit-identical across
+// bit-identical to the hand-wired encoder/runner/decoder loop on both
+// engines, and that a session stays bit-identical across
 // repeated Reset reuse.
 func TestPipelineMatchesHandWiredLoop(t *testing.T) {
 	const window, drain = 16, 10
@@ -79,7 +79,6 @@ func TestPipelineMatchesHandWiredLoop(t *testing.T) {
 		workers int
 	}{
 		{"event", EngineEvent, 1},
-		{"dense", EngineDense, 1},
 		{"parallel", EngineParallel, 2},
 	}
 	for _, tc := range cases {
@@ -158,8 +157,8 @@ func TestClassifyBatchBitIdentical(t *testing.T) {
 // TestSystemBackedEquivalence asserts the multi-chip acceptance
 // criterion through the public API: a pipeline served across a 2x2
 // chip tile returns predictions bit-identical to the single-chip
-// backend for Classify, ClassifyBatch and Async, under all three
-// engines — tiling changes accounting, never routing semantics.
+// backend for Classify, ClassifyBatch and Async, under both engines —
+// tiling changes accounting, never routing semantics.
 func TestSystemBackedEquivalence(t *testing.T) {
 	rg := buildEquivRig(t)
 	ctx := context.Background()
@@ -185,7 +184,6 @@ func TestSystemBackedEquivalence(t *testing.T) {
 		workers int
 	}{
 		{"event", EngineEvent, 1},
-		{"dense", EngineDense, 1},
 		{"parallel", EngineParallel, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
