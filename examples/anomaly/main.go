@@ -21,10 +21,10 @@ import (
 
 func main() {
 	const (
-		bins           = 8   // population-code resolution over [0, 1]
-		anomalyBin     = 6   // readings in bins 6..7 (>= 0.75) are suspect
-		period         = 64  // baseline sine period in ticks
-		burst          = 6   // anomaly excursion length in ticks
+		bins           = 8  // population-code resolution over [0, 1]
+		anomalyBin     = 6  // readings in bins 6..7 (>= 0.75) are suspect
+		period         = 64 // baseline sine period in ticks
+		burst          = 6  // anomaly excursion length in ticks
 		minGap, maxGap = 40, 120
 		noise          = 0.03
 		ticks          = 6000

@@ -51,7 +51,7 @@ type SlidingCounter struct {
 	MinMargin int
 
 	window int
-	counts []int   // per-class totals over (head-window, head]
+	counts []int // per-class totals over (head-window, head]
 	total  int
 	ring   [][]int // ring[t mod window]: per-class counts of tick t
 	slotAt []int64 // the tick each ring slot currently holds; -1 empty

@@ -686,8 +686,8 @@ type Session struct {
 
 	// snapMu guards the activity snapshot that Pipeline.Usage and
 	// Pipeline.Traffic read; the live counters belong to the owning
-	// goroutine alone (all cumulative traffic state lives on the
-	// runner, which folds it across Resets). Traffic totals refresh at
+	// goroutine alone (all cumulative traffic state lives in the
+	// backend's tally, which spans Resets). Traffic totals refresh at
 	// every store (O(1)); the link matrix and busiest-link figures
 	// refresh only at full stores (completed Classify, stream Drain) —
 	// per-tick stream operations skip the O(chips^2) matrix work.
@@ -701,9 +701,8 @@ type Session struct {
 }
 
 // Runner exposes the session's runner (for probes and counters).
-// Prefer Session.Reset over resetting it directly — the runner folds
-// its own cumulative records, but only Session.Reset also restarts the
-// codecs and refreshes the accounting snapshot.
+// Prefer Session.Reset over resetting it directly — only Session.Reset
+// also restarts the codecs and refreshes the accounting snapshot.
 func (s *Session) Runner() *sim.Runner { return s.runner }
 
 // Now returns the session's next tick.
@@ -761,7 +760,7 @@ func (s *Session) Traffic() BoundaryTraffic {
 }
 
 // liveTraffic computes the cumulative boundary traffic from the
-// runner's Reset-spanning records, returning the summary and the
+// backend's Reset-spanning tally, returning the summary and the
 // cumulative link matrix (freshly allocated; the caller owns it).
 func (s *Session) liveTraffic() (BoundaryTraffic, [][]uint64) {
 	intra, inter := s.runner.BoundarySpikes()

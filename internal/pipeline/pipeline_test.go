@@ -451,9 +451,8 @@ func TestSystemBackedClassifyBitIdentical(t *testing.T) {
 
 // TestSystemTrafficAccumulates pins the session-level boundary-traffic
 // accounting: identical presentations double every counter (the
-// backend's Reset-zeroed live counters are folded at each presentation
-// boundary), the pipeline aggregate matches, and the inter-chip spike
-// counts flow into Usage.
+// backend's traffic tally spans presentation boundaries), the pipeline
+// aggregate matches, and the inter-chip spike counts flow into Usage.
 func TestSystemTrafficAccumulates(t *testing.T) {
 	mp := trafficMapping(t)
 	p, err := New(mp, WithSystem(1, 1), WithDrain(2))

@@ -123,7 +123,7 @@ func drive(t testing.TB, mp *compile.Mapping, b tiledBackend, ticks int, seed ui
 }
 
 // linksOf reads a tile's (src chip, dst chip) crossing matrix through
-// AddLinkTrafficInto, the surface the Runner folds across Resets.
+// AddLinkTrafficInto, the surface the Runner reads.
 func linksOf(b interface {
 	Chips() int
 	AddLinkTrafficInto(dst [][]uint64)
@@ -152,7 +152,8 @@ func compareOutputs(t testing.TB, label string, got, want []chip.OutputSpike) {
 // the real wire: a Sharded over RPC clients (gob over unix sockets)
 // emits byte-identical output spikes to the in-process System, with
 // identical counters, boundary totals and link matrices — including
-// across a Reset mid-sequence.
+// across a Reset mid-sequence, after which the remote traffic is the
+// sum of two fresh systems run one presentation each.
 func TestRemoteBitIdentical(t *testing.T) {
 	mp := testMapping(t, 5)
 	for _, shards := range []int{1, 2, 4} {
@@ -197,15 +198,33 @@ func TestRemoteBitIdentical(t *testing.T) {
 				}
 			}
 			check("first presentation")
-			// Reset mid-sequence: traffic zeroes on both sides, activity
-			// counters persist on both sides, and the replayed schedule is
-			// again bit-identical.
+			intra1, inter1 := shd.BoundaryTotals()
+			link1 := linksOf(shd)
+			// Reset mid-sequence: activity and traffic counters persist on
+			// both sides, and the replayed schedule is again bit-identical.
 			sys.Reset()
 			shd.Reset()
-			if intra, inter := shd.BoundaryTotals(); intra != 0 || inter != 0 {
-				t.Fatalf("Reset left remote boundary totals (%d,%d)", intra, inter)
+			if intra, inter := shd.BoundaryTotals(); intra != intra1 || inter != inter1 {
+				t.Fatalf("Reset changed remote boundary totals (%d,%d) -> (%d,%d)", intra1, inter1, intra, inter)
 			}
 			check("after reset")
+			other, err := system.New(mp.Chip, testCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			drive(t, mp, other, 30, 17)
+			oi, oe := other.BoundaryTotals()
+			if gi, ge := shd.BoundaryTotals(); gi != intra1+oi || ge != inter1+oe {
+				t.Fatalf("two presentations: (%d,%d), two fresh systems sum to (%d,%d)", gi, ge, intra1+oi, inter1+oe)
+			}
+			link, otherLink := linksOf(shd), linksOf(other)
+			for i := range link {
+				for j := range link[i] {
+					if want := link1[i][j] + otherLink[i][j]; link[i][j] != want {
+						t.Fatalf("link[%d][%d] = %d, two fresh systems sum to %d", i, j, link[i][j], want)
+					}
+				}
+			}
 		})
 	}
 }

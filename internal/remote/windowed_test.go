@@ -1,10 +1,10 @@
 package remote
 
-// Windowed-exchange coverage: the Protocol v2 bit-identity fuzz across
+// Windowed-exchange coverage: the windowed bit-identity fuzz across
 // shard counts x window widths x evaluation modes (including Reset
 // mid-sequence), the delay-1 mapping that must force lockstep, the
-// protocol-v1 handshake rejection, and the server's validation of the
-// client-controlled TickN fields.
+// rejection of older protocol versions at handshake, and the server's
+// validation of the client-controlled TickN fields.
 
 import (
 	"fmt"
@@ -245,8 +245,9 @@ func TestDelayOneMappingForcesLockstep(t *testing.T) {
 }
 
 // TestHandshakeRejectsProtocolV1 pins cross-version safety: a client
-// still speaking the lockstep v1 wire format is refused at handshake,
-// before any spike crosses.
+// still speaking the lockstep v1 wire format, or v2 with its
+// zero-on-Reset counters, is refused at handshake, before any spike
+// crosses.
 func TestHandshakeRejectsProtocolV1(t *testing.T) {
 	mp := testMapping(t, 5)
 	_, addr := startServer(t, mp, testCfg, 1, 0)
@@ -259,18 +260,20 @@ func TestHandshakeRejectsProtocolV1(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rc.Close()
-	args := HandshakeArgs{
-		Protocol:    1,
-		MappingHash: hash,
-		ChipCoresX:  testCfg.ChipCoresX,
-		ChipCoresY:  testCfg.ChipCoresY,
-		Shards:      1,
-		Shard:       0,
-	}
-	var reply HandshakeReply
-	err = rc.Call("NShard.Handshake", args, &reply)
-	if err == nil || !strings.Contains(err.Error(), "protocol 1") {
-		t.Fatalf("v1 handshake error = %v, want protocol rejection", err)
+	for _, v := range []int{1, 2} {
+		args := HandshakeArgs{
+			Protocol:    v,
+			MappingHash: hash,
+			ChipCoresX:  testCfg.ChipCoresX,
+			ChipCoresY:  testCfg.ChipCoresY,
+			Shards:      1,
+			Shard:       0,
+		}
+		var reply HandshakeReply
+		err = rc.Call("NShard.Handshake", args, &reply)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("protocol %d,", v)) {
+			t.Fatalf("v%d handshake error = %v, want protocol rejection", v, err)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"github.com/neurogo/neurogo/internal/chip"
 	"github.com/neurogo/neurogo/internal/compile"
 	"github.com/neurogo/neurogo/internal/system"
 )
@@ -89,10 +90,10 @@ func TestShardedRunnerBitIdentical(t *testing.T) {
 }
 
 // TestShardedRunnerResetFolds pins the cumulative accounting across
-// Reset for the partitioned backend, exactly as
+// Reset for the partitioned backend, as
 // TestSystemRunnerBoundarySpikesAccumulate does for the in-process
-// tile: Reset zeroes the live counters but folds them into the runner,
-// so identical presentations double every total and every link cell.
+// tile: every shard's tally spans Resets, so identical presentations
+// double every total and every link cell.
 func TestShardedRunnerResetFolds(t *testing.T) {
 	mp, err := compile.Compile(goldenNet(5), compile.Options{Width: 6, Height: 6})
 	if err != nil {
@@ -134,5 +135,70 @@ func TestShardedRunnerResetFolds(t *testing.T) {
 				t.Fatalf("link[%d][%d] = %d, want %d", i, j, link2[i][j], 2*link1[i][j])
 			}
 		}
+	}
+}
+
+// countingConn is an in-process shard that counts the traffic reads
+// the driving Sharded forwards to it.
+type countingConn struct {
+	*system.Shard
+	totals, links int
+}
+
+func (c *countingConn) BoundaryTotals() (intra, inter uint64) {
+	c.totals++
+	return c.Shard.BoundaryTotals()
+}
+
+func (c *countingConn) AddLinkTrafficInto(dst [][]uint64) {
+	c.links++
+	c.Shard.AddLinkTrafficInto(dst)
+}
+
+// TestRunnerResetReadsNoTraffic pins where traffic accumulates: at its
+// source shard, for the shard's whole life. Runner.Reset therefore
+// reads no shard's tally — on a remote partition, no Sync round-trip —
+// and the totals still span the Reset.
+func TestRunnerResetReadsNoTraffic(t *testing.T) {
+	mp, err := compile.Compile(goldenNet(5), compile.Options{Width: 6, Height: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := system.Config{ChipCoresX: 1, ChipCoresY: 1}
+	parts := system.PartitionChips(36, 2)
+	conns := make([]system.ShardConn, len(parts))
+	counted := make([]*countingConn, len(parts))
+	for i, part := range parts {
+		sh, err := system.NewShard(mp.Chip, cfg, part, chip.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		counted[i] = &countingConn{Shard: sh}
+		conns[i] = counted[i]
+	}
+	shd, err := system.NewShardedFrom(mp.Chip, cfg, conns, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewTiledRunner(mp, shd, EngineEvent, 1)
+	schedule(t, r, 20, 23)
+	intra, inter := r.BoundarySpikes()
+	if inter == 0 {
+		t.Fatal("no crossings recorded")
+	}
+	for _, c := range counted {
+		c.totals, c.links = 0, 0
+	}
+	for i := 0; i < 3; i++ {
+		r.Reset()
+	}
+	for i, c := range counted {
+		if c.totals != 0 || c.links != 0 {
+			t.Fatalf("shard %d: Runner.Reset made %d BoundaryTotals and %d AddLinkTrafficInto calls, want none",
+				i, c.totals, c.links)
+		}
+	}
+	if gi, ge := r.BoundarySpikes(); gi != intra || ge != inter {
+		t.Fatalf("BoundarySpikes across Reset (%d,%d), before (%d,%d)", gi, ge, intra, inter)
 	}
 }

@@ -54,13 +54,14 @@ func (e *ShardDownError) Unwrap() error { return e.Cause }
 // outbox. Transfers therefore ride the next tick's message — shards
 // compute while the exchange is logically in flight — and no separate
 // transfer round-trip exists to pay for.
+//
+// Sharded embeds the tile for its geometry only: BoundaryTotals and
+// AddLinkTrafficInto sum the shards' tallies instead, since every
+// spike is tallied at its source shard.
 type Sharded struct {
-	cfg      Config
+	tile
 	coreGrid *chip.Config
-	chipsX   int
-	chipsY   int
 	conns    []ShardConn
-	parts    [][]int
 	shardOf  []int // physical chip -> owning shard
 
 	tick    int64
@@ -77,10 +78,11 @@ type Sharded struct {
 // shard-exchange code path — the degenerate case every multi-shard
 // run must agree with.
 func NewSharded(coreGrid *chip.Config, cfg Config, shards int) (*Sharded, error) {
-	if err := cfg.Validate(coreGrid); err != nil {
+	t, err := newTile(coreGrid, cfg)
+	if err != nil {
 		return nil, err
 	}
-	n := (coreGrid.Width / cfg.ChipCoresX) * (coreGrid.Height / cfg.ChipCoresY)
+	n := t.Chips()
 	if shards < 1 || shards > n {
 		return nil, fmt.Errorf("system: cannot split %d chips into %d shards", n, shards)
 	}
@@ -100,21 +102,15 @@ func NewSharded(coreGrid *chip.Config, cfg Config, shards int) (*Sharded, error)
 // connections (e.g. remote clients). parts[i] lists the physical chips
 // conn[i] owns; together the parts must cover every chip exactly once.
 func NewShardedFrom(coreGrid *chip.Config, cfg Config, conns []ShardConn, parts [][]int) (*Sharded, error) {
-	if err := cfg.Validate(coreGrid); err != nil {
+	t, err := newTile(coreGrid, cfg)
+	if err != nil {
 		return nil, err
 	}
 	if len(conns) == 0 || len(conns) != len(parts) {
 		return nil, fmt.Errorf("system: %d shard conns for %d parts", len(conns), len(parts))
 	}
-	s := &Sharded{
-		cfg:      cfg,
-		coreGrid: coreGrid,
-		chipsX:   coreGrid.Width / cfg.ChipCoresX,
-		chipsY:   coreGrid.Height / cfg.ChipCoresY,
-		conns:    conns,
-		parts:    parts,
-	}
-	n := s.chipsX * s.chipsY
+	s := &Sharded{tile: t, coreGrid: coreGrid, conns: conns}
+	n := s.Chips()
 	s.shardOf = make([]int, n)
 	for i := range s.shardOf {
 		s.shardOf[i] = -1
@@ -139,31 +135,6 @@ func NewShardedFrom(coreGrid *chip.Config, cfg Config, conns []ShardConn, parts 
 	s.results = make([]WindowResult, len(conns))
 	s.errs = make([]error, len(conns))
 	return s, nil
-}
-
-// Shards returns the number of shards.
-func (s *Sharded) Shards() int { return len(s.conns) }
-
-// Conns exposes the shard connections (for probes and tests).
-func (s *Sharded) Conns() []ShardConn { return s.conns }
-
-// Partition returns the chips-per-shard partition.
-func (s *Sharded) Partition() [][]int { return s.parts }
-
-// Chips returns the number of physical chips.
-func (s *Sharded) Chips() int { return s.chipsX * s.chipsY }
-
-// ChipsX returns the chip-tile width.
-func (s *Sharded) ChipsX() int { return s.chipsX }
-
-// ChipsY returns the chip-tile height.
-func (s *Sharded) ChipsY() int { return s.chipsY }
-
-// ChipOf returns the physical chip index (row-major) hosting a core.
-func (s *Sharded) ChipOf(coreIdx int32) int {
-	cx := (int(coreIdx) % s.coreGrid.Width) / s.cfg.ChipCoresX
-	cy := (int(coreIdx) / s.coreGrid.Width) / s.cfg.ChipCoresY
-	return cy*s.chipsX + cx
 }
 
 // Err returns the sticky shard failure, nil while healthy. Matches
@@ -313,23 +284,10 @@ func (s *Sharded) Counters() chip.Counters {
 	return out
 }
 
-// ResetCounters zeroes every shard's chip-level activity counters.
-func (s *Sharded) ResetCounters() {
-	if s.err != nil {
-		return
-	}
-	for i, c := range s.conns {
-		if err := c.ResetCounters(); err != nil {
-			s.fail(i, err)
-			return
-		}
-	}
-}
-
 // Reset returns the system to power-on state under the System.Reset
-// contract: chips pristine, boundary-traffic counters zeroed, chip
-// activity counters preserved. A failed shard makes Reset a no-op —
-// lockstep cannot be re-established; check Err.
+// contract: chips pristine, activity counters and boundary traffic
+// kept. A failed shard makes Reset a no-op — lockstep cannot be
+// re-established; check Err.
 func (s *Sharded) Reset() {
 	if s.err != nil {
 		return
@@ -346,8 +304,9 @@ func (s *Sharded) Reset() {
 	}
 }
 
-// BoundaryTotals sums the shards' intra- and inter-chip routed spike
-// counts — each routed spike accounted once, at its source shard.
+// BoundaryTotals sums the shards' cumulative intra- and inter-chip
+// routed spike counts — each routed spike tallied once, at its source
+// shard.
 func (s *Sharded) BoundaryTotals() (intra, inter uint64) {
 	for _, c := range s.conns {
 		a, b := c.BoundaryTotals()
@@ -357,8 +316,8 @@ func (s *Sharded) BoundaryTotals() (intra, inter uint64) {
 	return intra, inter
 }
 
-// AddLinkTrafficInto adds every shard's (src chip, dst chip) crossing
-// matrix into dst (full chips x chips shape).
+// AddLinkTrafficInto adds every shard's cumulative (src chip, dst chip)
+// crossing matrix into dst (full chips x chips shape).
 func (s *Sharded) AddLinkTrafficInto(dst [][]uint64) {
 	for _, c := range s.conns {
 		c.AddLinkTrafficInto(dst)

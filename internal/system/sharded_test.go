@@ -158,7 +158,7 @@ func present(t *testing.T, inject func(int32, int, int64) error, tick func() []c
 }
 
 // tileTraffic is a tile's boundary accounting read through the surface
-// the Runner folds across Resets: BoundaryTotals and AddLinkTrafficInto.
+// the Runner reads: BoundaryTotals and AddLinkTrafficInto.
 type tileTraffic struct {
 	intra, inter uint64
 	link         [][]uint64
@@ -176,6 +176,18 @@ func trafficOf(b interface {
 	tt.intra, tt.inter = b.BoundaryTotals()
 	b.AddLinkTrafficInto(tt.link)
 	return tt
+}
+
+// plus returns the element-wise sum of two tallies of one tile.
+func (a tileTraffic) plus(b tileTraffic) tileTraffic {
+	sum := tileTraffic{intra: a.intra + b.intra, inter: a.inter + b.inter, link: make([][]uint64, len(a.link))}
+	for i := range a.link {
+		sum.link[i] = make([]uint64, len(a.link[i]))
+		for j := range a.link[i] {
+			sum.link[i][j] = a.link[i][j] + b.link[i][j]
+		}
+	}
+	return sum
 }
 
 // TestShardedMatchesSystem is the partition-equivalence contract at the
@@ -222,30 +234,34 @@ func TestShardedMatchesSystem(t *testing.T) {
 }
 
 // TestShardedResetBitIdentical pins the Reset contract across the
-// partition: chips pristine, traffic zeroed, activity counters
-// preserved, and the next presentation bit-identical to a fresh build.
+// partition: chips pristine, activity counters and traffic tally kept,
+// the next presentation bit-identical to a fresh build, and the tally
+// after it the sum of two fresh builds run one presentation each.
 func TestShardedResetBitIdentical(t *testing.T) {
 	cfg := Config{ChipCoresX: 2, ChipCoresY: 2}
-	fresh, err := NewSharded(chainRig(), cfg, 4)
-	if err != nil {
-		t.Fatal(err)
+	build := func() *Sharded {
+		shd, err := NewSharded(chainRig(), cfg, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return shd
 	}
+	fresh := build()
 	wantOuts := present(t, fresh.Inject, fresh.Tick)
-	want := trafficOf(fresh)
-
-	shd, err := NewSharded(chainRig(), cfg, 4)
-	if err != nil {
-		t.Fatal(err)
+	one := trafficOf(fresh)
+	if one.inter == 0 {
+		t.Fatalf("rig crosses no chip boundary: %+v", one)
 	}
-	pristine := trafficOf(shd)
+
+	shd := build()
 	present(t, shd.Inject, shd.Tick)
 	counters := shd.Counters()
 	shd.Reset()
 	if shd.Now() != 0 {
 		t.Fatalf("Now after Reset = %d", shd.Now())
 	}
-	if got := trafficOf(shd); !reflect.DeepEqual(got, pristine) {
-		t.Fatalf("Reset left traffic %+v", got)
+	if got := trafficOf(shd); !reflect.DeepEqual(got, one) {
+		t.Fatalf("Reset changed the traffic tally to %+v, want the first presentation's %+v", got, one)
 	}
 	if got := shd.Counters(); got != counters {
 		t.Fatalf("Reset dropped activity counters: %+v -> %+v", counters, got)
@@ -259,8 +275,10 @@ func TestShardedResetBitIdentical(t *testing.T) {
 			t.Fatalf("output %d: reset %+v, fresh %+v", i, gotOuts[i], wantOuts[i])
 		}
 	}
-	if got := trafficOf(shd); !reflect.DeepEqual(got, want) {
-		t.Fatalf("traffic after reset %+v, fresh %+v", got, want)
+	other := build()
+	present(t, other.Inject, other.Tick)
+	if got, want := trafficOf(shd), one.plus(trafficOf(other)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("traffic over two presentations %+v, two fresh builds sum to %+v", got, want)
 	}
 }
 

@@ -35,45 +35,101 @@ func (cfg Config) Validate(coreGrid *chip.Config) error {
 	return nil
 }
 
+// tile is the chip-of-core geometry of a core grid partitioned onto
+// physical chips, plus the boundary-traffic tally of the spikes routed
+// on it. System, Shard and Sharded embed it. The tally counts from
+// construction on and, like the chip's activity counters, survives
+// Reset, so every routed spike is counted once, at its source, for the
+// backend's whole life.
+type tile struct {
+	cfg            Config
+	gridW          int
+	chipsX, chipsY int
+
+	intra, inter uint64
+	// link[src chip][dst chip] counts boundary-crossing spikes; nil
+	// until observe installs the tally.
+	link [][]uint64
+}
+
+// newTile checks that coreGrid tiles exactly into cfg's chips.
+func newTile(coreGrid *chip.Config, cfg Config) (tile, error) {
+	if err := cfg.Validate(coreGrid); err != nil {
+		return tile{}, err
+	}
+	return tile{
+		cfg:    cfg,
+		gridW:  coreGrid.Width,
+		chipsX: coreGrid.Width / cfg.ChipCoresX,
+		chipsY: coreGrid.Height / cfg.ChipCoresY,
+	}, nil
+}
+
+// observe tallies every spike ch routes by its source and destination
+// chip.
+func (t *tile) observe(ch *chip.Chip) {
+	n := t.Chips()
+	t.link = make([][]uint64, n)
+	for i := range t.link {
+		t.link[i] = make([]uint64, n)
+	}
+	ch.SetRouteObserver(func(src, dst int32) {
+		a, b := t.ChipOf(src), t.ChipOf(dst)
+		if a == b {
+			t.intra++
+			return
+		}
+		t.inter++
+		t.link[a][b]++
+	})
+}
+
+// Chips returns the number of physical chips.
+func (t *tile) Chips() int { return t.chipsX * t.chipsY }
+
+// ChipsX returns the chip-tile width.
+func (t *tile) ChipsX() int { return t.chipsX }
+
+// ChipsY returns the chip-tile height.
+func (t *tile) ChipsY() int { return t.chipsY }
+
+// ChipOf returns the physical chip index (row-major) hosting a core.
+func (t *tile) ChipOf(coreIdx int32) int {
+	cx := (int(coreIdx) % t.gridW) / t.cfg.ChipCoresX
+	cy := (int(coreIdx) / t.gridW) / t.cfg.ChipCoresY
+	return cy*t.chipsX + cx
+}
+
+// BoundaryTotals returns the cumulative intra- and inter-chip routed
+// spike counts in O(1) — the hot-path alternative to a link-matrix
+// scan.
+func (t *tile) BoundaryTotals() (intra, inter uint64) { return t.intra, t.inter }
+
+// AddLinkTrafficInto adds the cumulative (src chip, dst chip) crossing
+// matrix into dst (chips x chips) without allocating.
+func (t *tile) AddLinkTrafficInto(dst [][]uint64) {
+	for i, row := range t.link {
+		for j, v := range row {
+			dst[i][j] += v
+		}
+	}
+}
+
 // System wraps a chip-level simulation with multi-chip accounting.
 type System struct {
-	ch     *chip.Chip
-	cfg    Config
-	chipsX int
-	chipsY int
-
-	intra uint64
-	inter uint64
-	// linkTraffic[src chip][dst chip] counts boundary-crossing spikes.
-	linkTraffic [][]uint64
+	tile
+	ch *chip.Chip
 }
 
 // New partitions the chip cfg onto physical chips of the given per-chip
 // core dimensions. The core grid must tile exactly.
 func New(coreGrid *chip.Config, cfg Config) (*System, error) {
-	if err := cfg.Validate(coreGrid); err != nil {
+	t, err := newTile(coreGrid, cfg)
+	if err != nil {
 		return nil, err
 	}
-	s := &System{
-		ch:     chip.New(coreGrid),
-		cfg:    cfg,
-		chipsX: coreGrid.Width / cfg.ChipCoresX,
-		chipsY: coreGrid.Height / cfg.ChipCoresY,
-	}
-	n := s.chipsX * s.chipsY
-	s.linkTraffic = make([][]uint64, n)
-	for i := range s.linkTraffic {
-		s.linkTraffic[i] = make([]uint64, n)
-	}
-	s.ch.SetRouteObserver(func(src, dst int32) {
-		a, b := s.ChipOf(src), s.ChipOf(dst)
-		if a == b {
-			s.intra++
-			return
-		}
-		s.inter++
-		s.linkTraffic[a][b]++
-	})
+	s := &System{tile: t, ch: chip.New(coreGrid)}
+	s.observe(s.ch)
 	return s, nil
 }
 
@@ -81,41 +137,11 @@ func New(coreGrid *chip.Config, cfg Config) (*System, error) {
 func (s *System) Chip() *chip.Chip { return s.ch }
 
 // Reset returns the system to its power-on state: every core pristine
-// (see chip.Reset) and the boundary-traffic counters — linkTraffic,
-// intra- and inter-chip totals — zeroed. After Reset the system is
-// bit-identical to a freshly built New over the same configuration,
-// which is what makes system-backed sessions reusable like chip-backed
-// ones. Chip-level activity counters are preserved (chip.Reset
-// semantics) for cumulative energy accounting; callers that want
-// cumulative *traffic* accounting across Resets must fold Stats and
-// LinkTraffic before calling (as the pipeline's sessions do).
-func (s *System) Reset() {
-	s.ch.Reset()
-	s.intra = 0
-	s.inter = 0
-	for i := range s.linkTraffic {
-		for j := range s.linkTraffic[i] {
-			s.linkTraffic[i][j] = 0
-		}
-	}
-}
-
-// Chips returns the number of physical chips.
-func (s *System) Chips() int { return s.chipsX * s.chipsY }
-
-// ChipsX returns the chip-tile width.
-func (s *System) ChipsX() int { return s.chipsX }
-
-// ChipsY returns the chip-tile height.
-func (s *System) ChipsY() int { return s.chipsY }
-
-// ChipOf returns the physical chip index (row-major) hosting a core.
-func (s *System) ChipOf(coreIdx int32) int {
-	c := s.ch.Coord(coreIdx)
-	cx := int(c.X) / s.cfg.ChipCoresX
-	cy := int(c.Y) / s.cfg.ChipCoresY
-	return cy*s.chipsX + cx
-}
+// (see chip.Reset), so the next presentation is bit-identical to one on
+// a freshly built New over the same configuration. The chip's activity
+// counters and the boundary-traffic tally both survive: they count
+// from construction on, for cumulative energy and traffic accounting.
+func (s *System) Reset() { s.ch.Reset() }
 
 // Tick advances the system one tick (event-driven core evaluation).
 func (s *System) Tick() []chip.OutputSpike { return s.ch.Tick() }
@@ -137,10 +163,6 @@ func (s *System) Now() int64 { return s.ch.Now() }
 // Counters returns the underlying chip-level activity counters.
 func (s *System) Counters() chip.Counters { return s.ch.Counters() }
 
-// ResetCounters zeroes the underlying chip and core activity counters
-// (boundary-traffic counters are cleared by Reset instead).
-func (s *System) ResetCounters() { s.ch.ResetCounters() }
-
 // Stats summarises boundary traffic.
 type Stats struct {
 	// IntraChip counts spikes routed within one physical chip.
@@ -151,26 +173,10 @@ type Stats struct {
 	BusiestLink uint64
 }
 
-// BoundaryTotals returns the intra- and inter-chip routed spike counts
-// in O(1) — the hot-path alternative to Stats, which scans the link
-// matrix for the busiest link.
-func (s *System) BoundaryTotals() (intra, inter uint64) { return s.intra, s.inter }
-
-// AddLinkTrafficInto adds the live link matrix into dst (same shape)
-// without allocating — the accumulation-path alternative to the
-// deep-copying LinkTraffic.
-func (s *System) AddLinkTrafficInto(dst [][]uint64) {
-	for i, row := range s.linkTraffic {
-		for j, v := range row {
-			dst[i][j] += v
-		}
-	}
-}
-
-// Stats returns the current boundary-traffic summary.
+// Stats returns the cumulative boundary-traffic summary.
 func (s *System) Stats() Stats {
 	st := Stats{IntraChip: s.intra, InterChip: s.inter}
-	for _, row := range s.linkTraffic {
+	for _, row := range s.link {
 		for _, v := range row {
 			if v > st.BusiestLink {
 				st.BusiestLink = v
@@ -184,8 +190,8 @@ func (s *System) Stats() Stats {
 // counts. The matrix is a deep copy, so callers may keep or mutate it
 // freely without corrupting the live accounting.
 func (s *System) LinkTraffic() [][]uint64 {
-	out := make([][]uint64, len(s.linkTraffic))
-	for i, row := range s.linkTraffic {
+	out := make([][]uint64, len(s.link))
+	for i, row := range s.link {
 		out[i] = append([]uint64(nil), row...)
 	}
 	return out

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/neurogo/neurogo/internal/chip"
@@ -44,21 +45,40 @@ func TestNewValidates(t *testing.T) {
 	}
 }
 
+// TestChipOf pins the one chip-of-core geometry System, Shard and
+// Sharded share through the embedded tile.
 func TestChipOf(t *testing.T) {
-	cfg := gridConfig(func(i int) int32 { return core.ExternalCore })
-	s, err := New(cfg, Config{ChipCoresX: 2, ChipCoresY: 2})
-	if err != nil {
-		t.Fatal(err)
+	grid := gridConfig(func(i int) int32 { return core.ExternalCore })
+	if _, err := newTile(grid, Config{ChipCoresX: 3, ChipCoresY: 2}); err == nil {
+		t.Fatal("non-tiling chip dims accepted")
 	}
-	// Core grid 4x4, chips 2x2 cores: core (x,y) -> chip (x/2, y/2).
-	cases := map[int32]int{
-		0: 0, 1: 0, 2: 1, 3: 1, // row 0
-		4: 0, 5: 0, 6: 1, 7: 1, // row 1
-		8: 2, 11: 3, 15: 3,
-	}
-	for coreIdx, want := range cases {
-		if got := s.ChipOf(coreIdx); got != want {
-			t.Errorf("ChipOf(%d) = %d, want %d", coreIdx, got, want)
+	for _, tc := range []struct {
+		cfg            Config
+		chipsX, chipsY int
+		cases          map[int32]int
+	}{
+		// Chips of 2x2 cores: core (x,y) -> chip (x/2, y/2).
+		{Config{ChipCoresX: 2, ChipCoresY: 2}, 2, 2, map[int32]int{
+			0: 0, 1: 0, 2: 1, 3: 1, // row 0
+			4: 0, 5: 0, 6: 1, 7: 1, // row 1
+			8: 2, 11: 3, 15: 3,
+		}},
+		// Chips of 2x1 cores: core (x,y) -> chip (x/2, y), a 2x4 tile.
+		{Config{ChipCoresX: 2, ChipCoresY: 1}, 2, 4, map[int32]int{
+			0: 0, 3: 1, 4: 2, 6: 3, 9: 4, 14: 7,
+		}},
+	} {
+		tl, err := newTile(grid, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tl.ChipsX() != tc.chipsX || tl.ChipsY() != tc.chipsY || tl.Chips() != tc.chipsX*tc.chipsY {
+			t.Fatalf("%+v: tile %dx%d (%d chips)", tc.cfg, tl.ChipsX(), tl.ChipsY(), tl.Chips())
+		}
+		for coreIdx, want := range tc.cases {
+			if got := tl.ChipOf(coreIdx); got != want {
+				t.Errorf("%+v: ChipOf(%d) = %d, want %d", tc.cfg, coreIdx, got, want)
+			}
 		}
 	}
 }
@@ -117,8 +137,10 @@ func TestBoundaryAccounting(t *testing.T) {
 }
 
 // TestResetBitIdentical is the session-reuse regression: after Reset a
-// system must produce exactly the spike stream and traffic accounting
-// of a freshly built one, with all boundary counters zeroed.
+// system emits exactly the spike stream of a freshly built one, while
+// its traffic tally keeps counting — Reset leaves it untouched, and
+// after a second presentation it equals the summed tallies of two
+// fresh systems run one presentation each.
 func TestResetBitIdentical(t *testing.T) {
 	// Relay chain crossing a chip boundary: 0 -> 1 -> 2 (chip 0 -> chip 0
 	// -> chip 1), with core 2 emitting externally.
@@ -139,38 +161,32 @@ func TestResetBitIdentical(t *testing.T) {
 		}
 		return s
 	}
-	present := func(s *System) ([]chip.OutputSpike, Stats) {
+	present := func(s *System) []chip.OutputSpike {
 		_ = s.Inject(0, 3, 0)
 		var outs []chip.OutputSpike
 		for i := 0; i < 6; i++ {
 			outs = append(outs, s.Tick()...)
 		}
-		return outs, s.Stats()
+		return outs
 	}
 
 	fresh := build()
-	wantOuts, wantStats := present(fresh)
-	if wantStats.IntraChip == 0 || wantStats.InterChip == 0 {
-		t.Fatalf("rig routes nothing: %+v", wantStats)
+	wantOuts := present(fresh)
+	one := trafficOf(fresh)
+	if one.intra == 0 || one.inter == 0 {
+		t.Fatalf("rig routes nothing: %+v", one)
 	}
 
 	reused := build()
 	present(reused)
 	reused.Reset()
-	if st := reused.Stats(); st != (Stats{}) {
-		t.Fatalf("Reset left traffic counters %+v", st)
-	}
 	if now := reused.Now(); now != 0 {
 		t.Fatalf("Reset left tick %d", now)
 	}
-	for _, row := range reused.LinkTraffic() {
-		for _, v := range row {
-			if v != 0 {
-				t.Fatal("Reset left link traffic")
-			}
-		}
+	if got := trafficOf(reused); !reflect.DeepEqual(got, one) {
+		t.Fatalf("Reset changed the traffic tally to %+v, want the first presentation's %+v", got, one)
 	}
-	gotOuts, gotStats := present(reused)
+	gotOuts := present(reused)
 	if len(gotOuts) != len(wantOuts) {
 		t.Fatalf("reset system emitted %d spikes, fresh %d", len(gotOuts), len(wantOuts))
 	}
@@ -179,8 +195,10 @@ func TestResetBitIdentical(t *testing.T) {
 			t.Fatalf("spike %d: reset %+v, fresh %+v", i, gotOuts[i], wantOuts[i])
 		}
 	}
-	if gotStats != wantStats {
-		t.Fatalf("traffic after reset = %+v, fresh = %+v", gotStats, wantStats)
+	other := build()
+	present(other)
+	if got, want := trafficOf(reused), one.plus(trafficOf(other)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("traffic over two presentations %+v, two fresh systems sum to %+v", got, want)
 	}
 }
 
