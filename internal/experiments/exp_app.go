@@ -13,7 +13,6 @@ import (
 	"github.com/neurogo/neurogo/internal/model"
 	"github.com/neurogo/neurogo/internal/pipeline"
 	"github.com/neurogo/neurogo/internal/report"
-	"github.com/neurogo/neurogo/internal/sim"
 	"github.com/neurogo/neurogo/internal/train"
 )
 
@@ -47,11 +46,11 @@ func buildClassifierRig(nTrain, nTest int, seed uint64) *classifierRig {
 	return &classifierRig{cls: cls, mapping: mp, model: m, tern: tern, xte: xte, yte: yte}
 }
 
-// newPipeline builds the rig's serving pipeline: Bernoulli rate code
-// in, spike-count decode out, a 10-tick drain as the decay gap.
-func (rig *classifierRig) newPipeline(window int, engine sim.Engine) *pipeline.Pipeline {
+// newPipeline builds the rig's serving pipeline on the default event
+// engine: Bernoulli rate code in, spike-count decode out, a 10-tick
+// drain as the decay gap.
+func (rig *classifierRig) newPipeline(window int) *pipeline.Pipeline {
 	p, err := pipeline.New(rig.mapping,
-		pipeline.WithEngine(engine),
 		pipeline.WithEncoder(codec.NewBernoulli(0.5, 42)),
 		pipeline.WithDecoder(codec.NewCounter(dataset.NumClasses)),
 		pipeline.WithLineMapper(pipeline.TwinLines(rig.cls.LinesFor)),
@@ -66,8 +65,8 @@ func (rig *classifierRig) newPipeline(window int, engine sim.Engine) *pipeline.P
 
 // spikingAccuracy classifies the rig's test set at the given window,
 // fanning images across the pipeline's session pool.
-func (rig *classifierRig) spikingAccuracy(window int, engine sim.Engine) (acc float64, counters energy.Usage) {
-	p := rig.newPipeline(window, engine)
+func (rig *classifierRig) spikingAccuracy(window int) (acc float64, counters energy.Usage) {
+	p := rig.newPipeline(window)
 	preds, err := p.ClassifyBatch(context.Background(), rig.xte)
 	if err != nil {
 		panic(err)
@@ -95,7 +94,7 @@ func T3Classification(quick bool) Result {
 	ternAcc := rig.tern.Accuracy(rig.xte, rig.yte)
 	com := train.NewCommittee(rig.model, 5, 1.6, 77)
 	comAcc := com.Accuracy(rig.xte, rig.yte)
-	spikeAcc, used := rig.spikingAccuracy(window, sim.EngineEvent)
+	spikeAcc, used := rig.spikingAccuracy(window)
 
 	coef := energy.DefaultCoefficients()
 	r := coef.Evaluate(used)
@@ -155,7 +154,7 @@ func F5Window(quick bool) Result {
 		"window (ticks)", "accuracy", "fraction of direct-ternary accuracy")
 	var xs, ys []float64
 	for _, w := range windows {
-		acc, _ := rig.spikingAccuracy(w, sim.EngineEvent)
+		acc, _ := rig.spikingAccuracy(w)
 		tb.AddRow(report.I(int64(w)), report.F(acc), report.F(acc/ternAcc))
 		xs = append(xs, float64(w))
 		ys = append(ys, acc)

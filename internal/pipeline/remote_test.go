@@ -270,6 +270,33 @@ func TestRemoteClassifyDeadline(t *testing.T) {
 	}
 }
 
+// TestRemoteCancelledClassifyKeepsShardsUp pins that a presentation
+// cancelled before its first window never touches the wire: it fails
+// with its own error, and the next Classify on a live context still
+// matches a single-chip pipeline.
+func TestRemoteCancelledClassifyKeepsShardsUp(t *testing.T) {
+	rg := remoteRig(t)
+	want, err := rg.pipeline(t).Classify(context.Background(), rg.x[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addrs := startShardServers(t, rg.mapping, 2)
+	p := rg.pipeline(t, WithRemoteSystem(addrs...))
+	defer p.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := p.Classify(ctx, rg.x[0]); err == nil {
+		t.Fatal("cancelled Classify succeeded")
+	}
+	got, err := p.Classify(context.Background(), rg.x[0])
+	if err != nil {
+		t.Fatalf("Classify after a cancelled one: %v", err)
+	}
+	if got != want {
+		t.Fatalf("remote class %d, single-chip %d", got, want)
+	}
+}
+
 func TestWithRemoteSystemValidation(t *testing.T) {
 	rg := remoteRig(t)
 	if _, err := New(rg.mapping, WithRemoteSystem("/tmp/a.sock"), WithSystem(1, 1)); err == nil {

@@ -341,6 +341,73 @@ func TestKillShardNeverHangs(t *testing.T) {
 	}
 }
 
+// TestLinkTrafficIsLocalAfterServerClose pins that every window reply
+// carries the link-traffic cells it moved: once both servers are gone,
+// the client-side matrix, totals and counters still equal an
+// in-process partition run on the same schedule.
+func TestLinkTrafficIsLocalAfterServerClose(t *testing.T) {
+	mp := testMapping(t, 5)
+	ref, err := system.NewSharded(mp.Chip, testCfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(t, mp, ref, 20, 17)
+	srvs, addrs := startServers(t, mp, testCfg, 2)
+	shd, err := DialSharded(mp, testCfg, addrs, ClientOptions{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shd.Close()
+	drive(t, mp, shd, 20, 17)
+	for _, srv := range srvs {
+		srv.Close()
+	}
+
+	if got, want := shd.Counters(), ref.Counters(); got != want {
+		t.Fatalf("counters %+v, in-process %+v", got, want)
+	}
+	gi, ge := shd.BoundaryTotals()
+	wi, we := ref.BoundaryTotals()
+	if gi != wi || ge != we {
+		t.Fatalf("boundary totals (%d,%d), in-process (%d,%d)", gi, ge, wi, we)
+	}
+	if we == 0 {
+		t.Fatal("no crossings on 1x1-core chips; test is vacuous")
+	}
+	got, want := linksOf(shd), linksOf(ref)
+	for i := range want {
+		for j := range want[i] {
+			if got[i][j] != want[i][j] {
+				t.Fatalf("link[%d][%d] = %d, in-process %d", i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+}
+
+// TestResetIsLocalAfterServerClose pins that Reset makes no call of its
+// own: with both servers gone it still succeeds, and the failure
+// surfaces on the next window, which carries the Reset.
+func TestResetIsLocalAfterServerClose(t *testing.T) {
+	mp := testMapping(t, 5)
+	srvs, addrs := startServers(t, mp, testCfg, 2)
+	shd, err := DialSharded(mp, testCfg, addrs, ClientOptions{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shd.Close()
+	drive(t, mp, shd, 5, 17)
+	for _, srv := range srvs {
+		srv.Close()
+	}
+	shd.Reset()
+	if err := shd.Err(); err != nil {
+		t.Fatalf("Reset called a closed server: %v", err)
+	}
+	if out := shd.Tick(); out != nil || !errors.Is(shd.Err(), system.ErrShardDown) {
+		t.Fatalf("Tick after close: outputs %v, Err %v, want ErrShardDown", out, shd.Err())
+	}
+}
+
 // TestStalledShardRespectsDeadlines pins the two bounded-wait paths on
 // a shard that is alive but unresponsive (its service mutex held): the
 // per-call timeout, and a context deadline bound via BindContext.

@@ -3,12 +3,16 @@ package remote
 // Windowed-exchange coverage: the windowed bit-identity fuzz across
 // shard counts x window widths x evaluation modes (including Reset
 // mid-sequence), the delay-1 mapping that must force lockstep, the
-// rejection of older protocol versions at handshake, and the server's
-// validation of the client-controlled TickN fields.
+// rejection of older protocol versions at handshake, the server's
+// validation of the client-controlled TickN fields, and the client's
+// validation of the shard-controlled reply fields.
 
 import (
+	"errors"
 	"fmt"
+	"net"
 	"net/rpc"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -245,9 +249,9 @@ func TestDelayOneMappingForcesLockstep(t *testing.T) {
 }
 
 // TestHandshakeRejectsProtocolV1 pins cross-version safety: a client
-// still speaking the lockstep v1 wire format, or v2 with its
-// zero-on-Reset counters, is refused at handshake, before any spike
-// crosses.
+// still speaking the lockstep v1 wire format, v2 with its
+// zero-on-Reset counters, or v3 with its Reset and Sync calls, is
+// refused at handshake, before any spike crosses.
 func TestHandshakeRejectsProtocolV1(t *testing.T) {
 	mp := testMapping(t, 5)
 	_, addr := startServer(t, mp, testCfg, 1, 0)
@@ -260,7 +264,7 @@ func TestHandshakeRejectsProtocolV1(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rc.Close()
-	for _, v := range []int{1, 2} {
+	for _, v := range []int{1, 2, 3} {
 		args := HandshakeArgs{
 			Protocol:    v,
 			MappingHash: hash,
@@ -281,11 +285,12 @@ func TestHandshakeRejectsProtocolV1(t *testing.T) {
 // client-controlled TickN fields over a real connection. The mapping
 // sits on one chip, so no chip crossing bounds the exchange window.
 // An unknown evaluation mode (including 1, the retired clock-driven
-// mode a stale client could still send) and windows outside
-// [1, RingSlots] are refused before any carried injection lands, a
-// worker count far past the host's CPUs is clamped, and after every
-// refusal the same connection still runs a legal window bit-identically
-// to a local chip.
+// mode a stale client could still send), windows outside
+// [1, RingSlots] and odd-length packed payloads are refused before any
+// carried injection lands, a worker count far past the host's CPUs is
+// clamped, and after every refusal the same connection still runs a
+// legal window bit-identically to a local chip. A Reset request whose
+// clock is not 0 is then refused before the Reset runs.
 func TestTickNValidatesWireFields(t *testing.T) {
 	mp := testMapping(t, 5)
 	srv, addr := startServer(t, mp, system.Config{ChipCoresX: 4, ChipCoresY: 4}, 1, 0)
@@ -319,6 +324,8 @@ func TestTickNValidatesWireFields(t *testing.T) {
 		{"retired mode 1", func(a *TickNArgs) { a.Mode = 1 }, "unknown evaluation mode"},
 		{"window past the delay ring", func(a *TickNArgs) { a.N = core.RingSlots + 1 }, "outside [1,16]"},
 		{"empty window", func(a *TickNArgs) { a.N = 0 }, "outside [1,16]"},
+		{"odd-length incoming", func(a *TickNArgs) { a.Incoming = []uint32{0} }, "odd-length"},
+		{"odd-length injections", func(a *TickNArgs) { a.Injections = inj[:len(inj)-1] }, "odd-length"},
 	} {
 		args := legal
 		tc.edit(&args)
@@ -371,5 +378,91 @@ func TestTickNValidatesWireFields(t *testing.T) {
 	}
 	if reply.Counters != ref.Counters() {
 		t.Fatalf("shard counters %+v, reference %+v", reply.Counters, ref.Counters())
+	}
+
+	reset := legal
+	reset.Reset, reset.Seq = true, 3
+	if err := rc.Call("NShard.TickN", reset, &TickNReply{}); err == nil || !strings.Contains(err.Error(), "lockstep") {
+		t.Fatalf("Reset at tick 3: error = %v, want a lockstep refusal", err)
+	}
+	if now, c := srv.Shard().Now(), srv.Shard().Counters(); now != core.RingSlots || c != reply.Counters {
+		t.Fatalf("refused Reset mutated the shard: now %d, counters %+v, want %d, %+v", now, c, core.RingSlots, reply.Counters)
+	}
+}
+
+// fakeShard is an NShard RPC service that passes the handshake for
+// shard 0 of 1 and then answers every window with a fixed reply.
+type fakeShard struct {
+	chips []int
+	reply TickNReply
+}
+
+func (f *fakeShard) Handshake(_ HandshakeArgs, reply *HandshakeReply) error {
+	reply.Chips = f.chips
+	return nil
+}
+
+func (f *fakeShard) TickN(_ TickNArgs, reply *TickNReply) error {
+	*reply = f.reply
+	return nil
+}
+
+// TestTickNValidatesReplyFields pins the client's distrust of the
+// shard-controlled reply fields: each malformed one-tick reply marks
+// the partition down with ErrShardDown — no panic, and no part of the
+// reply silently dropped.
+func TestTickNValidatesReplyFields(t *testing.T) {
+	mp := testMapping(t, 5)
+	chips := system.PartitionChips(16, 1)[0]
+	for _, tc := range []struct {
+		name  string
+		reply TickNReply
+		want  string
+	}{
+		{"tick-count mismatch", TickNReply{OutCounts: []uint32{0, 0}}, "tick counts"},
+		{"short output stream", TickNReply{OutCounts: []uint32{3}, Outputs: []uint32{0}}, "shorter than its tick counts"},
+		{"odd-length boundary", TickNReply{OutCounts: []uint32{0}, Boundary: []uint32{0}}, "odd-length"},
+		{"odd-length links", TickNReply{OutCounts: []uint32{0}, Links: []uint64{0}}, "odd-length"},
+		{"link cell past the matrix", TickNReply{OutCounts: []uint32{0}, Links: []uint64{1, 5, 16 * 16, 1}}, "outside the 16-chip matrix"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := rpc.NewServer()
+			if err := srv.RegisterName(serviceName, &fakeShard{chips: chips, reply: tc.reply}); err != nil {
+				t.Fatal(err)
+			}
+			addr := filepath.Join(t.TempDir(), "fake.sock")
+			ln, err := net.Listen("unix", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			go func() {
+				for {
+					conn, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					go srv.ServeConn(conn)
+				}
+			}()
+			shd, err := DialSharded(mp, testCfg, []string{addr}, ClientOptions{Timeout: 10 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer shd.Close()
+			if out := shd.Tick(); out != nil {
+				t.Fatalf("malformed reply produced outputs %v", out)
+			}
+			if err := shd.Err(); !errors.Is(err, system.ErrShardDown) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Err = %v, want ErrShardDown mentioning %q", err, tc.want)
+			}
+			for _, row := range linksOf(shd) {
+				for _, v := range row {
+					if v != 0 {
+						t.Fatal("part of a malformed reply reached the link matrix")
+					}
+				}
+			}
+		})
 	}
 }

@@ -157,8 +157,7 @@ func (c *countingConn) AddLinkTrafficInto(dst [][]uint64) {
 
 // TestRunnerResetReadsNoTraffic pins where traffic accumulates: at its
 // source shard, for the shard's whole life. Runner.Reset therefore
-// reads no shard's tally — on a remote partition, no Sync round-trip —
-// and the totals still span the Reset.
+// reads no shard's tally, and the totals still span the Reset.
 func TestRunnerResetReadsNoTraffic(t *testing.T) {
 	mp, err := compile.Compile(goldenNet(5), compile.Options{Width: 6, Height: 6})
 	if err != nil {

@@ -49,9 +49,9 @@ func (e *ShardDownError) Unwrap() error { return e.Cause }
 //
 // Each tick is one round-trip per shard, all shards in flight
 // concurrently: the request carries the boundary spikes addressed to
-// that shard by the *previous* tick (plus any buffered injections, for
-// remote conns), the reply carries the shard's outputs and fresh
-// outbox. Transfers therefore ride the next tick's message — shards
+// that shard by the *previous* tick (plus any buffered injections and
+// a pending Reset, for remote conns), the reply carries the shard's
+// outputs and fresh outbox. Transfers therefore ride the next tick's message — shards
 // compute while the exchange is logically in flight — and no separate
 // transfer round-trip exists to pay for.
 //
