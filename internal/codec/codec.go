@@ -79,8 +79,9 @@ func (b *Bernoulli) Tick(values []float64, emit EmitFunc) {
 	}
 }
 
-// Reset implements Encoder: the stream restarts from the seed.
-func (b *Bernoulli) Reset() { b.r = rng.NewSplitMix64(b.seed) }
+// Reset implements Encoder: the stream restarts from the seed, reseeding
+// the generator in place.
+func (b *Bernoulli) Reset() { *b.r = *rng.NewSplitMix64(b.seed) }
 
 // Clone implements Encoder.
 func (b *Bernoulli) Clone() Encoder { return NewBernoulli(b.MaxRate, b.seed) }
@@ -249,8 +250,9 @@ func (p *Population) Tick(values []float64, emit EmitFunc) {
 	}
 }
 
-// Reset implements Encoder.
-func (p *Population) Reset() { p.r = rng.NewSplitMix64(p.seed) }
+// Reset implements Encoder: the stream restarts from the seed, reseeding
+// the generator in place.
+func (p *Population) Reset() { *p.r = *rng.NewSplitMix64(p.seed) }
 
 // Clone implements Encoder.
 func (p *Population) Clone() Encoder {

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -340,6 +341,25 @@ func TestCloneIndependence(t *testing.T) {
 					t.Fatalf("%T: clones diverged at tick %d: %v vs %v", proto, tick, la, lb)
 				}
 			}
+		}
+	}
+}
+
+// TestResetReplaysClone pins the seeded encoders' restart: after Reset,
+// an encoder that has already run emits exactly the stream a fresh Clone
+// emits, and Reset reseeds its generator in place without allocating.
+func TestResetReplaysClone(t *testing.T) {
+	values := []float64{0.9, 0.5, 0.2, 0.7}
+	for _, e := range []Encoder{NewBernoulli(0.8, 42), NewPopulation(4, 0.2, 0.8, 7)} {
+		collect(e, values, 7)
+		fresh := e.Clone()
+		e.Reset()
+		got, want := collect(e, values, 20), collect(fresh, values, 20)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%T: stream after Reset %v, fresh clone %v", e, got, want)
+		}
+		if n := testing.AllocsPerRun(10, e.Reset); n != 0 {
+			t.Errorf("%T: Reset makes %v allocs, want 0", e, n)
 		}
 	}
 }

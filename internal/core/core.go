@@ -210,7 +210,7 @@ func (c *Core) Reset() {
 	c.vHot = crossbar.Row{}
 	c.acc = [Size]int32{}
 	c.ring = [RingSlots]crossbar.Row{}
-	c.lfsr = rng.NewLFSR(c.cfg.Seed)
+	c.lfsr.SetState(c.cfg.Seed) // reseeded in place: Reset allocates nothing
 }
 
 // Counters returns a copy of the activity counters.

@@ -99,7 +99,7 @@ func TestClassifyAllocs(t *testing.T) {
 	t.Run("flat", func(t *testing.T) {
 		rg := buildRig(t)
 		s := rg.pipeline(t).NewSession()
-		checkAllocs(t, "Session.Classify on the flat classifier", 359, func() {
+		checkAllocs(t, "Session.Classify on the flat classifier", 0, func() {
 			if _, err := s.Classify(ctx, rg.x[0]); err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +108,10 @@ func TestClassifyAllocs(t *testing.T) {
 	t.Run("conv-tile", func(t *testing.T) {
 		p, img := convTilePipeline(t)
 		s := p.NewSession()
-		checkAllocs(t, "Session.Classify on the conv tile", 1454, func() {
+		// All 5 are the 2x2 tile's link-matrix snapshot (the outer slice
+		// and one row per chip), freshly allocated at every full
+		// accounting store because lock-free readers may keep it.
+		checkAllocs(t, "Session.Classify on the conv tile", 5, func() {
 			if _, err := s.Classify(ctx, img); err != nil {
 				t.Fatal(err)
 			}
@@ -121,7 +124,7 @@ func TestClassifyAllocs(t *testing.T) {
 func TestStreamTickIdleAllocs(t *testing.T) {
 	rg := buildRig(t)
 	st := rg.pipeline(t).NewSession().Stream(context.Background())
-	checkAllocs(t, "Stream.Tick on an idle chip", 1, func() {
+	checkAllocs(t, "Stream.Tick on an idle chip", 0, func() {
 		if labels, err := st.Tick(); err != nil || len(labels) != 0 {
 			t.Fatalf("idle tick: labels %v, err %v", labels, err)
 		}

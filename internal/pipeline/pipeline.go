@@ -54,6 +54,10 @@ import (
 // entry) to the physical input lines to inject. The default maps index
 // i to line i; classifier corelets split each pixel into a
 // (positive, negative) twin pair — see TwinLines.
+//
+// A mapper must be a pure function of its index: each session calls it
+// once per index and serves every later emission of that index from a
+// memoised table, so the returned slice is copied, never retained.
 type LineMapper func(index int) []int32
 
 // ClassMapper maps an output neuron back to a class index; return -1
@@ -325,6 +329,14 @@ func (p *Pipeline) newSessionLocked() *Session {
 	s.runner.SetExchangeWindow(p.cfg.exchange)
 	if p.cfg.encoder != nil {
 		s.enc = p.cfg.encoder.Clone()
+		s.lineOff = []int32{0}
+		s.emit = func(i int) {
+			for _, line := range s.lines(i) {
+				if err := s.runner.InjectLineAt(line, s.encBase); err != nil && s.encErr == nil {
+					s.encErr = err
+				}
+			}
+		}
 	}
 	if p.cfg.decoder != nil {
 		s.dec = p.cfg.decoder.Clone()
@@ -684,6 +696,17 @@ type Session struct {
 	enc    codec.Encoder
 	dec    codec.Decoder
 
+	// The encode path, allocation-free per presentation: emit is the
+	// encoder callback, built once, which injects at encBase and keeps
+	// the first error in encErr; lineOff/lineTab memoise the LineMapper
+	// in CSR form (index i maps to lineTab[lineOff[i]:lineOff[i+1]]),
+	// grown on demand.
+	emit    codec.EmitFunc
+	encBase int64
+	encErr  error
+	lineOff []int32
+	lineTab []int32
+
 	// snapMu guards the activity snapshot that Pipeline.Usage and
 	// Pipeline.Traffic read; the live counters belong to the owning
 	// goroutine alone (all cumulative traffic state lives in the
@@ -845,15 +868,24 @@ func (s *Session) encodeTick(values []float64) error {
 // Encoders are output-independent (the spike train depends only on the
 // frame sequence), so pre-encoding a window's frames up front is exact.
 func (s *Session) encodeTickAt(values []float64, base int64) error {
-	var err error
-	s.enc.Tick(values, func(i int) {
-		for _, line := range s.p.cfg.lines(i) {
-			if e := s.runner.InjectLineAt(line, base); e != nil && err == nil {
-				err = e
-			}
-		}
-	})
-	return err
+	s.encBase, s.encErr = base, nil
+	s.enc.Tick(values, s.emit)
+	return s.encErr
+}
+
+// lines returns the input lines of emission index i from the session's
+// memoised LineMapper table, extending the table through i on first
+// use. A negative index (no encoder emits one) goes to the mapper
+// directly.
+func (s *Session) lines(i int) []int32 {
+	if i < 0 {
+		return s.p.cfg.lines(i)
+	}
+	for k := len(s.lineOff) - 1; k <= i; k++ {
+		s.lineTab = append(s.lineTab, s.p.cfg.lines(k)...)
+		s.lineOff = append(s.lineOff, int32(len(s.lineTab)))
+	}
+	return s.lineTab[s.lineOff[i]:s.lineOff[i+1]]
 }
 
 // feed pushes mapped events into the decoder — the allocation-free

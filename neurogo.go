@@ -204,9 +204,10 @@ type Event = sim.Event
 // Runner executes a compiled mapping tick by tick over a Backend.
 type Runner = sim.Runner
 
-// Backend is the hardware-execution seam under a Runner: a single chip
-// or a multi-chip system tile. Both yield bit-identical spike streams
-// for the same mapping; tiling only changes accounting.
+// Backend is the hardware-execution seam under a Runner: a single chip,
+// a multi-chip system tile, or a tile split across shards. All yield
+// bit-identical spike streams for the same mapping; tiling and sharding
+// only change accounting.
 type Backend = sim.Backend
 
 // Logical interprets a network directly (the executable specification).
