@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"context"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"github.com/neurogo/neurogo/internal/codec"
@@ -108,10 +110,7 @@ func TestClassifyAllocs(t *testing.T) {
 	t.Run("conv-tile", func(t *testing.T) {
 		p, img := convTilePipeline(t)
 		s := p.NewSession()
-		// All 5 are the 2x2 tile's link-matrix snapshot (the outer slice
-		// and one row per chip), freshly allocated at every full
-		// accounting store because lock-free readers may keep it.
-		checkAllocs(t, "Session.Classify on the conv tile", 5, func() {
+		checkAllocs(t, "Session.Classify on the conv tile", 0, func() {
 			if _, err := s.Classify(ctx, img); err != nil {
 				t.Fatal(err)
 			}
@@ -131,5 +130,82 @@ func TestStreamTickIdleAllocs(t *testing.T) {
 	})
 	if _, err := st.Drain(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStreamDecisionsAllocs covers the continuous-decision path: with a
+// subscriber draining Decisions, the per-decision buffering must not
+// allocate once its buffers have grown. The feed waits after every tick
+// until the forwarder has taken the buffered decisions, so each tick is
+// its own flush — the worst case for a buffer that regrows per flush.
+// The bound is the allocation difference against the same feed on an
+// unsubscribed stream, so the labels Present returns cancel out.
+func TestStreamDecisionsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	rg := buildRig(t)
+	// An ungated window emits a decision on nearly every tick.
+	p := rg.pipeline(t, WithDecoder(codec.NewSlidingCounter(dataset.NumClasses, 12)))
+	defer p.Close()
+	const frames, ticksPer = 160, 8
+	feed := func(subscribe bool) (mallocs uint64, decisions int64) {
+		st := p.NewSession().Stream(context.Background())
+		var n atomic.Int64
+		done := make(chan struct{})
+		if subscribe {
+			dch := st.Decisions()
+			go func() {
+				for range dch {
+					n.Add(1)
+				}
+				close(done)
+			}()
+		} else {
+			close(done)
+		}
+		present := func(i int) {
+			for k := 0; k < ticksPer; k++ {
+				if _, err := st.Present(rg.x[i%len(rg.x)], 1); err != nil {
+					t.Fatal(err)
+				}
+				for {
+					st.decMu.Lock()
+					pending := len(st.decBuf)
+					st.decMu.Unlock()
+					if pending == 0 {
+						break
+					}
+					runtime.Gosched()
+				}
+			}
+		}
+		for i := 0; i < 4; i++ { // warm-up: buffers reach their size
+			present(i)
+		}
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		for i := 0; i < frames; i++ {
+			present(i)
+		}
+		runtime.ReadMemStats(&ms)
+		mallocs = ms.Mallocs - before
+		if _, err := st.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+		return mallocs, n.Load()
+	}
+	base, _ := feed(false)
+	sub, decisions := feed(true)
+	if decisions < 1000 {
+		t.Fatalf("only %d decisions; the bound below needs at least 1000", decisions)
+	}
+	extra := int64(sub) - int64(base)
+	t.Logf("%d decisions: %d allocations subscribed, %d unsubscribed", decisions, sub, base)
+	if extra >= decisions/10 {
+		t.Errorf("subscribed stream: %d extra allocations for %d decisions (unsubscribed %d), want < %d",
+			extra, decisions, base, decisions/10)
 	}
 }

@@ -612,14 +612,9 @@ func (p *Pipeline) trafficOf(sessions []*Session) BoundaryTraffic {
 	}
 	var intra, inter uint64
 	for _, s := range sessions {
-		bt, link := s.snapshotTraffic()
-		intra += bt.IntraChip
-		inter += bt.InterChip
-		for i, row := range link {
-			for j, v := range row {
-				sum[i][j] += v
-			}
-		}
+		a, b := s.addSnapshotTrafficInto(sum)
+		intra += a
+		inter += b
 	}
 	out := summarizeTraffic(chipsX, chipsY, intra, inter, sum)
 	out.PredictedInterChipFraction = p.mapping.Stats.PredictedInterChipFraction
@@ -714,8 +709,9 @@ type Session struct {
 	// every store (O(1)); the link matrix and busiest-link figures
 	// refresh only at full stores (completed Classify, stream Drain) —
 	// per-tick stream operations skip the O(chips^2) matrix work.
-	// snapLink is freshly allocated at every full store and never
-	// written afterwards, so readers may hold it past the lock.
+	// snapLink is the session's own chips x chips matrix, refilled in
+	// place at every full store, so readers only read it under the
+	// lock.
 	snapMu      sync.Mutex
 	snapCtr     chip.Counters
 	snapTicks   uint64
@@ -776,20 +772,11 @@ func (s *Session) Traffic() BoundaryTraffic {
 	if s.sys == nil {
 		bt = singleChipTraffic()
 	} else {
-		bt, _ = s.liveTraffic()
+		intra, inter := s.runner.BoundarySpikes()
+		bt = summarizeTraffic(s.sys.ChipsX(), s.sys.ChipsY(), intra, inter, s.runner.BoundaryLinks())
 	}
 	bt.PredictedInterChipFraction = s.p.mapping.Stats.PredictedInterChipFraction
 	return bt
-}
-
-// liveTraffic computes the cumulative boundary traffic from the
-// backend's Reset-spanning tally, returning the summary and the
-// cumulative link matrix (freshly allocated; the caller owns it).
-func (s *Session) liveTraffic() (BoundaryTraffic, [][]uint64) {
-	intra, inter := s.runner.BoundarySpikes()
-	link := s.runner.BoundaryLinks()
-	bt := summarizeTraffic(s.sys.ChipsX(), s.sys.ChipsY(), intra, inter, link)
-	return bt, link
 }
 
 // storeUsage records the current activity (and, on system backends,
@@ -829,12 +816,21 @@ func (s *Session) storeUsageFull() {
 	}
 	ctr := s.runner.Counters()
 	ticks := s.Ticks()
-	bt, link := s.liveTraffic()
+	intra, inter := s.runner.BoundarySpikes()
 	s.snapMu.Lock()
+	if s.snapLink == nil {
+		s.snapLink = make([][]uint64, s.sys.Chips())
+		for i := range s.snapLink {
+			s.snapLink[i] = make([]uint64, len(s.snapLink))
+		}
+	}
+	for _, row := range s.snapLink {
+		clear(row)
+	}
+	s.sys.AddLinkTrafficInto(s.snapLink)
 	s.snapCtr = ctr
 	s.snapTicks = ticks
-	s.snapTraffic = bt
-	s.snapLink = link
+	s.snapTraffic = summarizeTraffic(s.sys.ChipsX(), s.sys.ChipsY(), intra, inter, s.snapLink)
 	s.snapMu.Unlock()
 }
 
@@ -848,13 +844,18 @@ func (s *Session) snapshotUsage(hardware bool) energy.Usage {
 	return u
 }
 
-// snapshotTraffic returns the last stored traffic snapshot and its
-// cumulative link matrix (nil for single-chip sessions; never mutated
-// after the store, so the caller may read it lock-free).
-func (s *Session) snapshotTraffic() (BoundaryTraffic, [][]uint64) {
+// addSnapshotTrafficInto adds the last stored cumulative link matrix
+// into sum (chips x chips; nothing for a session with no full store
+// yet) and returns the stored intra- and inter-chip totals.
+func (s *Session) addSnapshotTrafficInto(sum [][]uint64) (intra, inter uint64) {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
-	return s.snapTraffic, s.snapLink
+	for i, row := range s.snapLink {
+		for j, v := range row {
+			sum[i][j] += v
+		}
+	}
+	return s.snapTraffic.IntraChip, s.snapTraffic.InterChip
 }
 
 // encodeTick encodes one value frame into line injections at the
@@ -1010,9 +1011,12 @@ type Stream struct {
 	// Decisions machinery, mirroring the async Results stream: the
 	// owner goroutine appends under decMu, a forwarder delivers, so a
 	// slow (or absent) consumer never blocks the feed path. Buffering
-	// starts at the first Decisions call.
+	// starts at the first Decisions call. The forwarder swaps decBuf
+	// for decSpare, the batch it drained last (touched by it alone), so
+	// the two buffers keep their capacity across flushes.
 	decMu    sync.Mutex
 	decBuf   []Decision
+	decSpare []Decision
 	decCh    chan Decision
 	notify   chan struct{}
 	done     chan struct{}
@@ -1073,7 +1077,7 @@ func (st *Stream) forwardDecisions() {
 	flush := func() bool {
 		st.decMu.Lock()
 		batch := st.decBuf
-		st.decBuf = nil
+		st.decBuf = st.decSpare[:0]
 		st.decMu.Unlock()
 		for _, d := range batch {
 			select {
@@ -1082,6 +1086,7 @@ func (st *Stream) forwardDecisions() {
 				return false
 			}
 		}
+		st.decSpare = batch
 		return true
 	}
 	for {
